@@ -148,7 +148,7 @@ func BenchmarkDataflowChain(b *testing.B) {
 	rt := op2.MustNew(op2.WithBackend(op2.Dataflow), op2.WithPoolSize(runtime.NumCPU()))
 	defer rt.Close()
 	lp := rt.ParLoop("touch", cells, op2.DirectArg(d, op2.RW)).
-		Body(func(lo, hi int, _ []float64) {})
+		Body(func(op2.Bindings) op2.RangeBody { return func(lo, hi int, _ []float64) {} })
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -385,13 +385,15 @@ func BenchmarkHotPath(b *testing.B) {
 			cells := op2.MustDeclSet(n, "cells")
 			x := op2.MustDeclDat(cells, 1, nil, "x")
 			y := op2.MustDeclDat(cells, 1, nil, "y")
-			xd, yd := x.Data(), y.Data()
 			lp := rt.ParLoop("saxpy", cells,
 				op2.DirectArg(x, op2.Read),
 				op2.DirectArg(y, op2.RW),
-			).Body(func(lo, hi int, _ []float64) {
-				for i := lo; i < hi; i++ {
-					yd[i] += 2 * xd[i]
+			).Body(func(b op2.Bindings) op2.RangeBody {
+				xd, yd := b.Dat(x), b.Dat(y)
+				return func(lo, hi int, _ []float64) {
+					for i := lo; i < hi; i++ {
+						yd[i] += 2 * xd[i]
+					}
 				}
 			})
 			ctx := context.Background()
@@ -457,13 +459,15 @@ func BenchmarkHotPathAsync(b *testing.B) {
 			cells := op2.MustDeclSet(n, "cells")
 			x := op2.MustDeclDat(cells, 1, nil, "x")
 			y := op2.MustDeclDat(cells, 1, nil, "y")
-			xd, yd := x.Data(), y.Data()
 			lp := rt.ParLoop("saxpy", cells,
 				op2.DirectArg(x, op2.Read),
 				op2.DirectArg(y, op2.RW),
-			).Body(func(lo, hi int, _ []float64) {
-				for i := lo; i < hi; i++ {
-					yd[i] += 2 * xd[i]
+			).Body(func(b op2.Bindings) op2.RangeBody {
+				xd, yd := b.Dat(x), b.Dat(y)
+				return func(lo, hi int, _ []float64) {
+					for i := lo; i < hi; i++ {
+						yd[i] += 2 * xd[i]
+					}
 				}
 			})
 			for i := 0; i < 4; i++ { // warm pools, plans, issue states

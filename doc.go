@@ -18,8 +18,10 @@
 // fuse adjacent direct loops over the same set into one pass — see
 // Step.FusedGroups and Runtime.StepStats) and the distributed engine
 // uses to coalesce read-halo exchanges across loops sharing a dat's
-// halo and to overlap a loop's increment exchange with the next loops'
-// interiors. Nothing outside internal/ should import the
+// halo and to post them as early as their data is final. A loop's Body
+// is a factory over op2.Bindings, bound once per execution context — to
+// the host arrays, or to each rank's local mesh — so every backend runs
+// the same compiled bodies. Nothing outside internal/ should import the
 // implementation packages directly.
 //
 // The steady-state issue path is compiled and allocation-free: a loop's
@@ -41,8 +43,11 @@
 // engine: sets are partitioned across n simulated localities
 // (op2.WithPartitioner selects block / RCB / greedy graph-growing, and
 // Runtime.Partition registers mesh topology like OP2's op_partition),
-// written dats become per-rank owned blocks plus import halos, and each
-// loop overlaps its halo exchange with interior computation while
+// each rank numbers its sets locally (owned elements first, import halo
+// after) with written dats and maps localized into that numbering, and
+// each loop runs its compiled body per rank — overlapping its halo
+// exchange with the elements that need no halo data, and executing the
+// exec halo redundantly so increments never cross the wire — while
 // staying bitwise-identical to the serial backend. Host writes into
 // Dat.Data() after the first distributed write propagate to the rank
 // shards with Dat.Rescatter; Runtime.Fence drains every submitted loop
@@ -117,8 +122,9 @@
 //   - internal/aero       — the FEM/CG workload (per-iteration reductions)
 //   - internal/part       — mesh partitioners (block, RCB, greedy) with
 //     edge-cut and imbalance metrics
-//   - internal/dist       — the owner-compute distributed engine: owned+halo
-//     storage, persistent rank workers, overlapped halo exchange,
+//   - internal/dist       — the owner-compute distributed engine: localized
+//     rank meshes, exec-halo execution of the compiled loop bodies,
+//     persistent rank workers, overlapped halo exchange,
 //     typed fault detection (halo timeouts, frame checks, permanent
 //     engine failure)
 //   - internal/net        — the TCP rank transport: framed wire protocol

@@ -1,12 +1,13 @@
 // Distributed example: the airfoil application on the owner-compute
 // distributed runtime, through the public op2 facade. Cells are
 // partitioned across simulated localities (choose the partitioner with
-// -partitioner), the flow dats are sharded into owned blocks plus import
-// halos, and every indirect loop overlaps its halo exchange with
-// interior computation. The run is verified bitwise against the serial
-// backend — the distributed engine replays increment application and
-// reduction folds in the serial plan order, so the results are identical
-// bit for bit at every rank count and under every partitioner.
+// -partitioner), each rank runs the loops' compiled bodies over its
+// localized mesh (owned elements first, import halo after), and every
+// indirect loop overlaps its halo exchange with the elements that need
+// no halo data. The run is verified bitwise against the serial backend —
+// every rank executes its elements, including the exec-halo edges it
+// runs redundantly, in the serial plan order, so the results are
+// identical bit for bit at every rank count and under every partitioner.
 //
 // Run with:
 //

@@ -7,10 +7,14 @@ import (
 // DistApp is the airfoil application on the distributed runtime: the
 // same App wiring (the five op_par_loop declarations are untouched)
 // executed through op2.WithRanks — cells partitioned across localities,
-// the flow dats sharded into owned blocks plus import halos exchanged
-// through pecell/pbecell, and the read-only mesh geometry replicated.
-// Because the distributed engine replays increment application and
-// reduction folds in the serial plan order, the results are
+// the flow dats laid out on each rank's localized mesh (owned cells
+// first, import halo after) with pecell/pbecell/pcell renumbered into
+// it, and the read-only node coordinates replicated. Every rank runs the
+// same five specialized bodies the shared-memory backends run, bound to
+// its local arrays; res_calc also runs its exec halo (the foreign edges
+// that increment an owned cell) redundantly, so increments never cross
+// the wire. Each rank executes its elements in the serial plan order and
+// folds the rms reduction per element in that order, so the results are
 // bitwise-identical to the shared-memory backends at every rank count
 // and under every partitioner.
 type DistApp struct {

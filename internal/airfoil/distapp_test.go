@@ -56,10 +56,10 @@ func checkBitwise(t *testing.T, nx, ny, iters, ranks int, p op2.Partitioner, rms
 
 // TestDistAppBitwiseGolden asserts the distributed airfoil — issued as
 // one op2.Step per iteration, with res_calc/bres_calc's halo exchanges
-// coalesced and increment exchanges overlapping the next loop's
-// interior — reproduces the serial backend bit-for-bit at ranks 1, 2, 4
-// and 7, under every partitioner: increment application and reduction
-// folds replay the serial plan order regardless of how the mesh is
+// coalesced and res_calc's exec halo run redundantly — reproduces the
+// serial backend bit-for-bit at ranks 1, 2, 4 and 7, under every
+// partitioner: every rank executes its elements and folds its
+// reductions in the serial plan order regardless of how the mesh is
 // split or how the step batches its communication.
 func TestDistAppBitwiseGolden(t *testing.T) {
 	const nx, ny, iters = 26, 14, 4
@@ -154,15 +154,14 @@ func TestDistAppReport(t *testing.T) {
 // bedges follow their one cell (fully local), and update/adt_calc
 // rewrite q/adt inside every RK sub-iteration — so each sub-iteration
 // has exactly one read exchange (q+adt coalesced per pair by the
-// per-loop schedule) and one increment exchange, which is already
-// minimal. The strictly-fewer coalescing win appears whenever several
-// loops read the same version of a dat's halo (gradient → limiter →
-// flux pipelines; asserted with a counting transport by
-// TestStepCoalescesSharedHalo and TestStepPipelineFewerMessages in
-// internal/dist); the airfoil step's distributed win is overlap —
-// res_calc's increment exchange stays in flight through bres_calc
-// (TestStepIncExchangeOverlapsNextInterior) — plus one submission and
-// one completion fence per timestep instead of nine.
+// per-loop schedule, covering res_calc's exec halo too), and increments
+// never cross the wire, which is already minimal. The strictly-fewer
+// coalescing win appears whenever several loops read the same version
+// of a dat's halo (gradient → limiter → flux pipelines; asserted with a
+// counting transport by TestStepCoalescesSharedHalo and
+// TestStepPipelineFewerMessages in internal/dist); the airfoil step's
+// distributed win is one submission and one completion fence per
+// timestep instead of nine.
 func TestDistAppStepMessages(t *testing.T) {
 	const nx, ny, iters = 26, 14, 3
 	rmsRef, qRef := serialGolden(t, nx, ny, iters)

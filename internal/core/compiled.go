@@ -20,7 +20,8 @@ import (
 //   - the scratchLayout of the loop's global reductions,
 //   - the classified resource list for dataflow issue (classifyResources
 //     used to rebuild a slice + map on every issue),
-//   - the generic-kernel range body with its pooled views slices,
+//   - the loop's range body, bound once to host storage (the loop's
+//     Body factory, or the generic view builder of a Kernel-only loop),
 //   - the §V prefetcher configuration, and
 //   - a pool of loopRun states holding the slot-indexed reduction
 //     scratch table and the persistent chunk tasks of the parallel
@@ -29,9 +30,9 @@ import (
 // A CompiledLoop is immutable after construction; all mutable
 // per-invocation state lives in pooled loopRun values, so concurrent
 // executions of the same loop (where a backend's contract allows them)
-// are safe. Kernels are read through the Loop at invocation time, so
-// re-attaching a Kernel or Body between runs is observed without
-// recompiling.
+// are safe. A Kernel-only loop's generic body reads the Kernel through
+// the Loop at invocation time, so re-attaching a Kernel between runs is
+// observed without recompiling; a new Body needs Loop.InvalidateCompiled.
 type CompiledLoop struct {
 	ex   *Executor
 	l    *Loop
@@ -40,8 +41,7 @@ type CompiledLoop struct {
 	res  []stepRes // distinct resources, strongest access (dataflow issue)
 	pf   *loopPrefetcher
 
-	genericBody RangeBody // view-building wrapper around l.Kernel
-	viewsPool   sync.Pool // *[][]float64, len(l.Args)
+	body RangeBody // l.Factory() bound to host storage
 
 	runs   sync.Pool // *loopRun
 	issues sync.Pool // *issueState: pooled async-issue states (see issue.go)
@@ -73,8 +73,8 @@ func (ex *Executor) compiled(l *Loop) (*CompiledLoop, error) {
 }
 
 // compileLoop builds the compiled artifact: resolve the plan, lay out
-// the reduction scratch, classify the resources, wrap the generic
-// kernel, and configure the prefetcher.
+// the reduction scratch, classify the resources, bind the body to host
+// storage, and configure the prefetcher.
 func (ex *Executor) compileLoop(l *Loop) (*CompiledLoop, error) {
 	cl := &CompiledLoop{
 		ex:  ex,
@@ -90,69 +90,9 @@ func (ex *Executor) compileLoop(l *Loop) (*CompiledLoop, error) {
 		}
 		cl.plan = plan
 	}
-	nargs := len(l.Args)
-	cl.viewsPool.New = func() any {
-		v := make([][]float64, nargs)
-		return &v
-	}
-	cl.genericBody = cl.makeGenericBody()
+	cl.body = l.Factory()(hostBindings{})
 	cl.runs.New = func() any { return newLoopRun(cl) }
 	return cl, nil
-}
-
-// makeGenericBody builds the view-based range body once. The kernel is
-// read from the Loop per invocation of the body, so re-attached kernels
-// are observed; the views slice is pooled per chunk call instead of
-// allocated (the allocation bodyFunc used to pay on every range).
-func (cl *CompiledLoop) makeGenericBody() RangeBody {
-	l := cl.l
-	args := l.Args
-	sl := &cl.sl
-	return func(lo, hi int, scratch []float64) {
-		kernel := l.Kernel
-		vp := cl.viewsPool.Get().(*[][]float64)
-		views := *vp
-		// Invariant views (globals) are set once per range.
-		for i := range args {
-			a := &args[i]
-			if !a.IsGlobal() {
-				continue
-			}
-			if off := sl.offs[i]; off >= 0 {
-				views[i] = scratch[off : off+a.gbl.Dim()]
-			} else {
-				views[i] = a.gbl.data
-			}
-		}
-		for e := lo; e < hi; e++ {
-			for i := range args {
-				a := &args[i]
-				if a.IsGlobal() {
-					continue
-				}
-				d := a.dat
-				var j int
-				if a.m == nil {
-					j = e
-				} else {
-					j = int(a.m.data[e*a.m.dim+a.idx])
-				}
-				views[i] = d.data[j*d.dim : (j+1)*d.dim : (j+1)*d.dim]
-			}
-			kernel(views)
-		}
-		cl.viewsPool.Put(vp)
-	}
-}
-
-// bodyNow resolves the range body for this invocation: the specialized
-// Body when attached (read through the Loop, so re-attachment between
-// runs is observed), the compiled generic wrapper otherwise.
-func (cl *CompiledLoop) bodyNow() RangeBody {
-	if b := cl.l.Body; b != nil {
-		return b
-	}
-	return cl.genericBody
 }
 
 // gatherDepsReuse is gatherDeps into the compiled loop's reusable
@@ -168,7 +108,6 @@ func (cl *CompiledLoop) getRun(ctx context.Context) *loopRun {
 	lr := cl.runs.Get().(*loopRun)
 	lr.ctx = ctx
 	lr.region.ctx = ctx
-	lr.body = cl.bodyNow()
 	lr.nslots = 0
 	lr.cursor = 0
 	return lr
@@ -178,7 +117,6 @@ func (cl *CompiledLoop) getRun(ctx context.Context) *loopRun {
 func (cl *CompiledLoop) putRun(lr *loopRun) {
 	lr.ctx = nil
 	lr.region.ctx = nil
-	lr.body = nil
 	lr.blocks = nil
 	cl.runs.Put(lr)
 }
@@ -257,9 +195,8 @@ func (r *chunkRegion) dispatch(pool *sched.Pool, nchunks int) error {
 // CompiledLoop's pool, which is what makes the steady-state issue path
 // allocation-free.
 type loopRun struct {
-	cl   *CompiledLoop
-	ctx  context.Context
-	body RangeBody
+	cl  *CompiledLoop
+	ctx context.Context
 
 	// Reduction scratch table: slot s occupies red[s*size:(s+1)*size].
 	// Slots are indexed by chunk (plan block id for planned loops, chunk
@@ -336,9 +273,9 @@ func (lr *loopRun) scratchFor(s int) []float64 {
 func (lr *loopRun) runRange(slot, lo, hi int) {
 	s := lr.scratchFor(slot)
 	if pf := lr.cl.pf; pf != nil {
-		pf.run(lo, hi, s, lr.body)
+		pf.run(lo, hi, s, lr.cl.body)
 	} else {
-		lr.body(lo, hi, s)
+		lr.cl.body(lo, hi, s)
 	}
 }
 

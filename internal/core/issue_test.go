@@ -21,18 +21,18 @@ func TestPipelinedFusedStepStress(t *testing.T) {
 	ex := NewExecutor(Config{Backend: Dataflow, Chunker: hpx.StaticChunker(1 << 20)})
 	w := &Loop{Name: "w", Set: cells,
 		Args: []Arg{ArgDat(d, IDIdx, nil, Write)},
-		Body: func(lo, hi int, _ []float64) {
+		Body: hostBody(func(lo, hi int, _ []float64) {
 			for i := lo; i < hi; i++ {
 				d.data[i] = 1
 			}
-		}}
+		})}
 	r := &Loop{Name: "r", Set: cells,
 		Args: []Arg{ArgDat(d, IDIdx, nil, RW)},
-		Body: func(lo, hi int, _ []float64) {
+		Body: hostBody(func(lo, hi int, _ []float64) {
 			for i := lo; i < hi; i++ {
 				d.data[i] += 1
 			}
-		}}
+		})}
 	sp, err := BuildStepPlan("s", []*Loop{w, r})
 	if err != nil {
 		t.Fatal(err)
@@ -72,4 +72,10 @@ func TestPipelinedFusedStepStress(t *testing.T) {
 			t.Fatalf("d[%d] = %g, want 2", i, v)
 		}
 	}
+}
+
+// hostBody adapts a range body that closes over host storage into a body
+// factory for the shared-memory tests, which only ever bind host storage.
+func hostBody(rb RangeBody) BodyFactory {
+	return func(Bindings) RangeBody { return rb }
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 )
 
@@ -20,28 +21,125 @@ type Kernel func(views [][]float64)
 // data exactly as the loop's Args declare.
 type RangeBody func(lo, hi int, scratch []float64)
 
+// Bindings resolves a loop's declared containers to the storage one
+// execution context runs on: the host arrays for the shared-memory
+// backends, a rank's localized arrays and map tables for the distributed
+// engine. Element e of a bound body is element e of that storage, and a
+// bound map's values index the bound storage of the map's target set.
+type Bindings interface {
+	// Dat returns the storage of a dat the loop declares (dim values per
+	// element).
+	Dat(d *Dat) []float64
+	// Map returns the table of a map the loop declares (dim entries per
+	// element).
+	Map(m *Map) []int32
+}
+
+// BodyFactory builds a loop's RangeBody over bound storage. Backends call
+// it once per execution context — the executor once per compiled loop
+// over host storage, the distributed engine once per rank over the
+// rank's local mesh — so the returned body must read every array it
+// indexes through b, never from the host containers directly.
+type BodyFactory func(b Bindings) RangeBody
+
+// hostBindings binds a loop to the declarations' own (host) storage.
+type hostBindings struct{}
+
+func (hostBindings) Dat(d *Dat) []float64 { return d.data }
+func (hostBindings) Map(m *Map) []int32   { return m.data }
+
 // Loop describes one op_par_loop: a name, the iteration set, the argument
-// list with access descriptors, and the kernel. Exactly one of Kernel or
+// list with access descriptors, and the kernel. At least one of Kernel or
 // Body must be set; Body takes precedence.
 type Loop struct {
 	Name   string
 	Set    *Set
 	Args   []Arg
 	Kernel Kernel
-	Body   RangeBody
+	Body   BodyFactory
 
 	// compiled caches the loop's steady-state execution artifact, built
 	// by the first executor that runs the loop (see CompiledLoop). The
-	// kernel and body are read per invocation, so re-attaching either
-	// does not require invalidation; changing Set or Args after the
-	// first execution does (call InvalidateCompiled).
+	// body is bound at compile time, so attaching a different Body after
+	// the first execution needs InvalidateCompiled; a re-attached Kernel
+	// is read per invocation by the generic body and needs nothing.
 	compiled atomic.Pointer[CompiledLoop]
 }
 
+// Factory returns the loop's body factory: the attached Body, or the
+// generic view builder over the loop's Kernel for Kernel-only loops — so
+// every backend executes a loop through one element path.
+func (l *Loop) Factory() BodyFactory {
+	if l.Body != nil {
+		return l.Body
+	}
+	return l.genericFactory
+}
+
+// genericFactory is the body factory of a Kernel-only loop: per element
+// it builds the argument views over the bound storage and calls the
+// kernel, read from the Loop on every range so a re-attached Kernel is
+// observed without rebinding.
+func (l *Loop) genericFactory(b Bindings) RangeBody {
+	args := l.Args
+	sl := layoutScratch(args)
+	data := make([][]float64, len(args))
+	maps := make([][]int32, len(args))
+	for i := range args {
+		a := &args[i]
+		switch {
+		case a.gbl != nil:
+			data[i] = a.gbl.data
+		default:
+			data[i] = b.Dat(a.dat)
+			if a.m != nil {
+				maps[i] = b.Map(a.m)
+			}
+		}
+	}
+	views := &sync.Pool{New: func() any {
+		v := make([][]float64, len(args))
+		return &v
+	}}
+	return func(lo, hi int, scratch []float64) {
+		kernel := l.Kernel
+		vp := views.Get().(*[][]float64)
+		v := *vp
+		// Invariant views (globals) are set once per range.
+		for i := range args {
+			a := &args[i]
+			if a.gbl == nil {
+				continue
+			}
+			if off := sl.offs[i]; off >= 0 {
+				v[i] = scratch[off : off+a.gbl.Dim()]
+			} else {
+				v[i] = data[i]
+			}
+		}
+		for e := lo; e < hi; e++ {
+			for i := range args {
+				a := &args[i]
+				if a.gbl != nil {
+					continue
+				}
+				dim := a.dat.dim
+				j := e
+				if m := maps[i]; m != nil {
+					j = int(m[e*a.m.dim+a.idx])
+				}
+				v[i] = data[i][j*dim : (j+1)*dim : (j+1)*dim]
+			}
+			kernel(v)
+		}
+		views.Put(vp)
+	}
+}
+
 // InvalidateCompiled drops the loop's cached compiled artifact so the
-// next execution recompiles it. Needed only when the loop's Set or Args
-// are mutated after the first run — attached kernels and bodies are
-// always read fresh.
+// next execution recompiles it. Needed when the loop's Set, Args or Body
+// are changed after the first run — an attached Kernel is always read
+// fresh.
 func (l *Loop) InvalidateCompiled() { l.compiled.Store(nil) }
 
 // Validate checks the loop's arguments against its iteration set.

@@ -15,7 +15,7 @@ import (
 // graph once — which is what lets the shared-memory dataflow backend
 // interleave independent loops eagerly with no per-issue argument
 // walking, and what the distributed engine consumes to batch halo
-// exchanges and overlap increment exchanges across loop boundaries.
+// exchanges across loop boundaries.
 //
 // A StepPlan is immutable once built and may be executed any number of
 // times; the kernels travel with the loops, so re-attaching a Kernel to

@@ -249,7 +249,7 @@ func TestOverlapInteriorRunsBeforeHaloResolution(t *testing.T) {
 				opened = true
 				close(gate)
 			}
-		case "boundary", "apply":
+		case "boundary":
 			if !opened {
 				boundaryEarly = true
 			}
@@ -613,8 +613,8 @@ func TestEngineValidation(t *testing.T) {
 		t.Errorf("indirect RW accepted: %v", err)
 	}
 	// Reading a dat the same loop increments cannot reproduce serial
-	// semantics under buffered increments — must be rejected, not
-	// silently diverge.
+	// semantics from a halo snapshot — must be rejected, not silently
+	// diverge.
 	readInc := &core.Loop{
 		Name: "readinc", Set: r.edges,
 		Args: []core.Arg{
@@ -626,13 +626,31 @@ func TestEngineValidation(t *testing.T) {
 	if err := e.Run(ctx, readInc); !errors.Is(err, dist.ErrInvalid) {
 		t.Errorf("read+inc of the same dat accepted: %v", err)
 	}
+	// A Body-only loop is valid: its factory is bound to each rank's
+	// local mesh, so it runs without a generic Kernel.
+	want := append([]float64(nil), r.x.Data()...)
 	bodyOnly := &core.Loop{
 		Name: "body", Set: r.cells,
 		Args: []core.Arg{core.ArgDat(r.x, core.IDIdx, nil, core.RW)},
-		Body: func(lo, hi int, _ []float64) {},
+		Body: func(b core.Bindings) core.RangeBody {
+			x := b.Dat(r.x)
+			return func(lo, hi int, _ []float64) {
+				for c := lo; c < hi; c++ {
+					x[c] *= 2
+				}
+			}
+		},
 	}
-	if err := e.Run(ctx, bodyOnly); !errors.Is(err, dist.ErrInvalid) {
-		t.Errorf("body-only loop accepted: %v", err)
+	if err := e.Run(ctx, bodyOnly); err != nil {
+		t.Errorf("body-only loop rejected: %v", err)
+	}
+	if err := r.x.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for c, v := range r.x.Data() {
+		if v != 2*want[c] {
+			t.Fatalf("body-only loop: x[%d] = %g, want %g", c, v, 2*want[c])
+		}
 	}
 
 	if _, err := dist.NewEngine(dist.Config{Ranks: 0}); err == nil {

@@ -23,9 +23,9 @@ const mailboxDepth = 16
 // TraceFunc observes engine execution phases; used by tests to prove
 // compute/communication overlap and by tools to trace progress. It is
 // called from rank worker goroutines and must be safe for concurrent use.
-// Phases: "interior" (one interior chunk executed), "halo" (about to wait
-// for read-halo messages), "boundary" (one boundary chunk executed),
-// "apply" (increment application done).
+// Phases: "interior" (one chunk of early elements executed), "halo"
+// (about to wait for read-halo messages), "boundary" (one chunk of late
+// elements executed), "hoist" (a later occurrence's exchange posted).
 type TraceFunc func(loop string, rank int, phase string)
 
 // Config configures an Engine.
@@ -36,7 +36,7 @@ type Config struct {
 	// part.Block.
 	Partitioner part.Partitioner
 	// BlockSize is the execution-plan block size (it also chunks
-	// interior/boundary execution); 0 defaults to core.DefaultBlockSize.
+	// early/late execution); 0 defaults to core.DefaultBlockSize.
 	BlockSize int
 	// Transport carries halo messages; nil defaults to an in-process
 	// Comm. Tests substitute delaying transports to prove overlap.
@@ -51,14 +51,18 @@ type Config struct {
 }
 
 // Engine is the owner-compute distributed runtime: every set is
-// partitioned across ranks (for real, or derived through a map), every
-// written dat is sharded into per-rank owned blocks plus an import halo,
-// and each rank is one persistent worker goroutine with a mailbox.
+// partitioned across ranks (for real, or derived through a map) and
+// numbered locally per rank, every written dat lives on that localized
+// mesh (owned values first, import halo after), and each rank is one
+// persistent worker goroutine with a mailbox that runs the loops'
+// compiled bodies over its local elements.
 //
 // Per loop, each rank posts its read-halo exchange as futures, executes
-// its interior elements while the messages are in flight, and gates only
-// the boundary elements and the increment application on halo
-// resolution — the paper's latency-hiding applied to distribution.
+// the elements that read no halo value while the messages are in
+// flight, and gates only the rest on halo resolution — the paper's
+// latency-hiding applied to distribution. Loops with indirect increments
+// also execute their exec halo redundantly, so increments never cross
+// the wire.
 //
 // Loops must be submitted from a single goroutine (the same contract as
 // the dataflow backend): submission order defines both the per-rank
@@ -96,6 +100,7 @@ type Engine struct {
 	plans   map[string]*loopPlan  // structural key: set + args (see loopKey)
 	steps   map[string]*stepPlan  // structural key: joined loop keys (see stepKey)
 	builds  int                   // loop plans built (not served from cache)
+	layout  uint64                // bumped whenever growLocked reallocates local storage
 	fenced  map[*core.Global]bool // globals whose Sync/Future fence this engine
 	tail    *hpx.Future[struct{}] // completion of the last submitted step
 	pending []error               // loop errors not yet delivered to any caller
@@ -133,13 +138,13 @@ type Engine struct {
 
 // bufPool is one rank's message-buffer free list. Senders draw from
 // their own rank's pool; receivers return a consumed buffer to the
-// SENDER's pool (they know the source rank), so each list converges to
-// the union of the rank's in-flight message shapes after the first
-// timestep.
+// SENDER's pool (they know the source rank). Compiled plans stock each
+// list with the rank's message shapes (see stockLocked); a miss still
+// allocates, for shapes no plan announced.
 type bufPool struct {
 	mu   sync.Mutex
 	free [][]float64
-	news atomic.Int64 // buffers allocated (pool misses)
+	news atomic.Int64 // buffers allocated (misses and stock)
 	gets atomic.Int64 // buffers handed out
 }
 
@@ -148,23 +153,63 @@ type bufPool struct {
 // above any steady schedule's needs).
 const maxFreeBufs = 64
 
-// get returns an empty buffer with capacity >= n.
+// get returns an empty buffer with capacity >= n: the smallest free one
+// that fits, so a short message never takes the buffer a long one to
+// another peer will need next.
 func (p *bufPool) get(n int) []float64 {
 	p.gets.Add(1)
 	p.mu.Lock()
-	for i := len(p.free) - 1; i >= 0; i-- {
-		if cap(p.free[i]) >= n {
-			b := p.free[i]
-			p.free[i] = p.free[len(p.free)-1]
-			p.free[len(p.free)-1] = nil
-			p.free = p.free[:len(p.free)-1]
-			p.mu.Unlock()
-			return b[:0]
+	best := -1
+	for i, b := range p.free {
+		if c := cap(b); c >= n && (best < 0 || c < cap(p.free[best])) {
+			best = i
 		}
+	}
+	if best >= 0 {
+		b := p.free[best]
+		last := len(p.free) - 1
+		p.free[best] = p.free[last]
+		p.free[last] = nil
+		p.free = p.free[:last]
+		p.mu.Unlock()
+		return b[:0]
 	}
 	p.mu.Unlock()
 	p.news.Add(1)
 	return make([]float64, 0, n)
+}
+
+// inFlightPerPair bounds the messages one exchange chain keeps in flight
+// per rank pair: a rank posts its next exchange to a peer only after
+// receiving that peer's message of the current one, which the peer posts
+// after consuming the previous message from this rank.
+const inFlightPerPair = 2
+
+// stock adds k buffers of capacity n to the free list (up to its bound).
+func (p *bufPool) stock(n, k int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := 0; i < k && len(p.free) < maxFreeBufs; i++ {
+		p.news.Add(1)
+		p.free = append(p.free, make([]float64, 0, n))
+	}
+}
+
+// stockLocked stocks, ahead of the first step that needs them, k
+// buffers for messages of n floats sent by rank src: in src's pool
+// (halo senders pack into it, receivers decode into and recycle to it;
+// ctl senders lend their own slice and skip it) and, when this process
+// sends them over a wire, k wire frames. Plans call it once per rank
+// pair and shape with the steady-state population they imply, so
+// timesteps draw every buffer from the pools however the ranks' timing
+// interleaves.
+func (e *Engine) stockLocked(src, n, k int, ctl bool) {
+	if !ctl || src != e.local {
+		e.bufs[src].stock(n, k)
+	}
+	if fs, ok := e.tr.inner.(FrameStocker); ok && src == e.local {
+		fs.StockFrames(n, k)
+	}
 }
 
 // put returns a consumed buffer to the free list.
@@ -187,7 +232,7 @@ func (e *Engine) getBuf(r, n int) []float64 { return e.bufs[r].get(n) }
 func (e *Engine) putBuf(r int, b []float64) { e.bufs[r].put(b) }
 
 // BufferStats reports the engine's message-buffer pooling counters:
-// how many buffers were ever allocated (pool misses) and how many were
+// how many buffers were ever allocated (stocked or missed) and how many were
 // handed out in total. Steady-state timesteps keep Allocated flat while
 // Requested keeps growing — the observable the buffer-reuse tests pin.
 type BufferStats struct {
@@ -307,15 +352,15 @@ func (e *Engine) StepsRun() int64 { return e.stepsRun.Load() }
 // PlanBuilds reports how many loop plans were actually built (cache
 // misses) over the engine's lifetime — the observable behind the
 // per-dat invalidation tests: re-sharding one dat must not rebuild
-// unrelated loops' locator tables.
+// unrelated loops' plans.
 func (e *Engine) PlanBuilds() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.builds
 }
 
-// MessagesSent reports the total halo messages (read-halo and increment)
-// posted to the transport since the engine was created.
+// MessagesSent reports the total read-halo messages posted to the
+// transport since the engine was created.
 func (e *Engine) MessagesSent() int64 { return e.tr.sent.Load() }
 
 // HaloTimeouts reports how many halo exchanges hit the engine's
@@ -364,7 +409,7 @@ func (e *Engine) rejectFailedLocked() error {
 }
 
 // Fence blocks until every submitted loop and step has completed —
-// including deferred increment applies and reduction folds — and
+// including its reduction folds — and
 // reports the first loop error no caller has observed yet.
 func (e *Engine) Fence() error { return e.waitTail() }
 
@@ -435,9 +480,11 @@ func (e *Engine) derivePartLocked(set *core.Set, m *core.Map, target *setPart) *
 	return sp
 }
 
-// ensureShardedLocked moves a dat into owned+halo storage, scattering the
-// declaration's (still authoritative) global values into the shards and
-// installing the Sync flush that writes them back.
+// ensureShardedLocked moves a dat onto its set's localized mesh,
+// scattering the declaration's (still authoritative) global values into
+// the owned part of every rank's array and installing the Sync flush
+// that writes them back. Hosted ranks' arrays already cover the set's
+// current halo; later halo growth is growLocked's.
 func (e *Engine) ensureShardedLocked(d *core.Dat) (*shardedDat, error) {
 	if sd := e.dats[d]; sd != nil {
 		return sd, nil
@@ -447,22 +494,36 @@ func (e *Engine) ensureShardedLocked(d *core.Dat) (*shardedDat, error) {
 		return nil, invalidf("dat %q: set %q is not partitioned", d.Name(), d.Set().Name())
 	}
 	dim := d.Dim()
-	sd := &shardedDat{d: d, sp: sp, owned: make([][]float64, e.ranks), halo: make([][]float64, e.ranks)}
+	sd := &shardedDat{d: d, sp: sp, local: make([][]float64, e.ranks)}
 	global := d.Data()
 	for r := 0; r < e.ranks; r++ {
 		ids := sp.owned[r]
-		buf := make([]float64, len(ids)*dim)
+		n := len(ids)
+		if e.workers[r] != nil {
+			n = sp.size(r)
+		}
+		buf := make([]float64, n*dim)
 		for i, id := range ids {
 			copy(buf[i*dim:(i+1)*dim], global[int(id)*dim:(int(id)+1)*dim])
 		}
-		sd.owned[r] = buf
+		sd.local[r] = buf
+	}
+	if e.local >= 0 {
+		// The flush allgathers one shard per peer pair each way.
+		own := len(sp.owned[e.local]) * dim
+		for r := range sp.owned {
+			if n := len(sp.owned[r]) * dim; r != e.local && n > 0 && own > 0 {
+				e.stockLocked(r, n, 1, true)
+				e.stockLocked(e.local, own, 1, true)
+			}
+		}
 	}
 	e.dats[d] = sd
 	d.SetFlush(func() error { return e.flushDat(sd) })
 	d.SetScatter(func() error { return e.scatterDat(sd) })
 	// Per-dat invalidation: only the plans that read THIS dat from its
 	// (now stale) global storage are rebuilt against the shards;
-	// unrelated loops' locator tables survive.
+	// unrelated loops' plans survive.
 	for l, lp := range e.plans {
 		for _, rd := range lp.repl {
 			if rd == d {
@@ -480,6 +541,51 @@ func (e *Engine) ensureShardedLocked(d *core.Dat) (*shardedDat, error) {
 		}
 	}
 	return sd, nil
+}
+
+// growLocked sizes every sharded dat's array on the hosted ranks to its
+// set's current local numbering, once plan builds assigned new halo
+// slots. Rank workers may still be executing earlier submissions on the
+// old arrays, so growth first drains the engine — releasing the lock
+// while it waits — and only then reallocates. The reallocation bumps
+// e.layout, which makes every StepHandle rebind its bodies before its
+// next submission; steady-state steps never get here.
+func (e *Engine) growLocked() error {
+	short := func(sd *shardedDat, r int) bool {
+		return e.workers[r] != nil && len(sd.local[r]) < sd.sp.size(r)*sd.d.Dim()
+	}
+	grow := false
+	for _, sd := range e.dats {
+		for r := range sd.local {
+			grow = grow || short(sd, r)
+		}
+	}
+	if !grow {
+		return nil
+	}
+	for e.tail != nil && !e.tail.Ready() {
+		tail := e.tail
+		e.mu.Unlock()
+		tail.Wait() //nolint:errcheck // draining only: the pending list carries the errors
+		e.mu.Lock()
+	}
+	if e.closed {
+		return invalidf("engine is closed")
+	}
+	if e.failErr != nil {
+		return e.rejectFailedLocked()
+	}
+	for _, sd := range e.dats {
+		for r := range sd.local {
+			if short(sd, r) {
+				grown := make([]float64, sd.sp.size(r)*sd.d.Dim())
+				copy(grown, sd.local[r])
+				sd.local[r] = grown
+			}
+		}
+	}
+	e.layout++
+	return nil
 }
 
 // waitTail blocks until every submitted loop (including its reduction
@@ -577,7 +683,7 @@ func (e *Engine) flushDat(sd *shardedDat) error {
 	global := sd.d.Data()
 	for r := 0; r < e.ranks; r++ {
 		for i, id := range sd.sp.owned[r] {
-			copy(global[int(id)*dim:(int(id)+1)*dim], sd.owned[r][i*dim:(i+1)*dim])
+			copy(global[int(id)*dim:(int(id)+1)*dim], sd.local[r][i*dim:(i+1)*dim])
 		}
 	}
 	return nil
@@ -588,8 +694,8 @@ func (e *Engine) flushDat(sd *shardedDat) error {
 // into the owned shards so host writes made after the first scatter are
 // observed by later loops. Halo copies on other ranks refresh with the
 // next read exchange, which every importing loop or step posts anyway.
-// Locator tables stay valid — ownership did not change — so no plan is
-// invalidated. In SPMD mode no traffic is needed: the host-side global
+// Local numberings and map tables stay valid — ownership did not change
+// — so no plan is invalidated. In SPMD mode no traffic is needed: the host-side global
 // storage is replicated identically on every process (flushes gather,
 // folds gather), so each process refreshes its shards from its own copy.
 func (e *Engine) scatterDat(sd *shardedDat) error {
@@ -600,7 +706,7 @@ func (e *Engine) scatterDat(sd *shardedDat) error {
 	global := sd.d.Data()
 	for r := 0; r < e.ranks; r++ {
 		for i, id := range sd.sp.owned[r] {
-			copy(sd.owned[r][i*dim:(i+1)*dim], global[int(id)*dim:(int(id)+1)*dim])
+			copy(sd.local[r][i*dim:(i+1)*dim], global[int(id)*dim:(int(id)+1)*dim])
 		}
 	}
 	return nil
@@ -623,8 +729,7 @@ func (e *Engine) RunAsync(ctx context.Context, l *core.Loop) *hpx.Future[struct{
 }
 
 // RunStep executes the step collectively across all ranks and returns
-// once every rank (including deferred increment applies) and the
-// reduction folds have completed. The returned error — the first of any
+// once every rank and the reduction folds have completed. The returned error — the first of any
 // member loop — is marked delivered, so the next fence does not report
 // it again.
 func (e *Engine) RunStep(ctx context.Context, name string, loops []*core.Loop) error {
@@ -637,13 +742,13 @@ func (e *Engine) RunStep(ctx context.Context, name string, loops []*core.Loop) e
 
 // RunStepAsync submits every loop of the step as one unit and returns a
 // single future for the whole step: it resolves once every rank has
-// finished every member loop (deferred applies included) and the
-// driver has folded the step's reductions, and it carries the first
-// error of any member loop. Building the step's plan hands the engine
-// the full dataflow DAG, which is what enables the cross-loop
-// optimizations: read-halo exchanges coalesced across loops sharing a
-// dat's halo, and a loop's increment exchange overlapping the next
-// loops' interiors (see stepPlan).
+// finished every member loop and the driver has folded the step's
+// reductions, and it carries the first error of any member loop.
+// Building the step's plan hands the engine the full dataflow DAG, which
+// is what enables the cross-loop optimizations: read-halo exchanges
+// coalesced across loops sharing a dat's halo and posted as early as
+// their data is final (see stepPlan). The loops' bodies are bound for
+// this submission only; a StepHandle keeps them bound.
 func (e *Engine) RunStepAsync(ctx context.Context, name string, loops []*core.Loop) *hpx.Future[struct{}] {
 	if ctx == nil {
 		ctx = context.Background()
@@ -661,13 +766,13 @@ func (e *Engine) RunStepAsync(ctx context.Context, name string, loops []*core.Lo
 		e.recordError(err)
 		return hpx.MakeErr[struct{}](err)
 	}
-	sp, err := e.stepPlanLocked(name, loops)
-	if err != nil {
+	h := &StepHandle{name: name, key: stepKey(loops), loops: loops}
+	if err := e.refreshLocked(h); err != nil {
 		e.mu.Unlock()
 		e.recordError(err) // ditto: an abandoned plan-error future must not vanish
 		return hpx.MakeErr[struct{}](err)
 	}
-	return e.submitLocked(ctx, sp, loops)
+	return e.submitLocked(ctx, h)
 }
 
 // RunStepHandle is RunStep over a compiled handle: the step executes
@@ -683,7 +788,8 @@ func (e *Engine) RunStepHandle(ctx context.Context, h *StepHandle) error {
 // RunStepHandleAsync submits a compiled step. The handle's plan pointer
 // is revalidated against the cache with its pinned key — one map lookup
 // instead of key construction plus validation — and rebuilt only when
-// re-sharding invalidated it.
+// re-sharding invalidated it; its bodies are rebound only when a plan
+// build reallocated local storage since they were bound.
 func (e *Engine) RunStepHandleAsync(ctx context.Context, h *StepHandle) *hpx.Future[struct{}] {
 	if ctx == nil {
 		ctx = context.Background()
@@ -701,25 +807,21 @@ func (e *Engine) RunStepHandleAsync(ctx context.Context, h *StepHandle) *hpx.Fut
 		e.recordError(err)
 		return hpx.MakeErr[struct{}](err)
 	}
-	if e.steps[h.key] != h.sp {
-		// Re-sharding a replicated dat dropped the plan; rebuild it.
-		sp, err := e.stepPlanLocked(h.name, h.loops)
-		if err != nil {
-			e.mu.Unlock()
-			e.recordError(err)
-			return hpx.MakeErr[struct{}](err)
-		}
-		h.sp = sp
+	if err := e.refreshLocked(h); err != nil {
+		e.mu.Unlock()
+		e.recordError(err)
+		return hpx.MakeErr[struct{}](err)
 	}
-	return e.submitLocked(ctx, h.sp, h.loops)
+	return e.submitLocked(ctx, h)
 }
 
 // submission is the pooled per-step dispatch state: one task per rank
 // (each a pointer into the embedded slice), the per-rank completion LCOs
-// the driver collects, and the kernel snapshot of the submitted loops.
-// Kernels travel per submission (plans are structural and shared), so
-// re-attached kernels are observed and pipelined submissions cannot race
-// each other's slices. The driver is the last toucher of every pooled
+// the driver collects, and the bound bodies of the submitted loops.
+// Bodies travel per submission (plans are structural and shared, bodies
+// are bound per loop), and a rebinding replaces the handle's slice
+// rather than mutating it, so pipelined submissions cannot race each
+// other's bodies. The driver is the last toucher of every pooled
 // field — all rank LCOs resolved means all workers are done with their
 // tasks — so it recycles the submission right after resolving the step
 // future (which is NOT pooled: it outlives the submission as the engine
@@ -728,7 +830,7 @@ type submission struct {
 	eng     *Engine
 	ctx     context.Context
 	sp      *stepPlan
-	kernels []core.Kernel
+	bodies  [][]core.RangeBody    // per occurrence, per rank
 	gate    hpx.Waiter            // youngest global-hazard future (gateLocked), or nil
 	prev    *hpx.Future[struct{}] // previous step future (driver ordering)
 	pStep   *hpx.Promise[struct{}]
@@ -815,7 +917,8 @@ func (e *Engine) gateLocked(sp *stepPlan, fStep *hpx.Future[struct{}]) hpx.Waite
 // submitLocked finishes a step submission with e.mu held (and releases
 // it): swap the engine tail, post one task per rank in rank order, and
 // spawn the driver that folds reductions and resolves the step future.
-func (e *Engine) submitLocked(ctx context.Context, sp *stepPlan, loops []*core.Loop) *hpx.Future[struct{}] {
+func (e *Engine) submitLocked(ctx context.Context, h *StepHandle) *hpx.Future[struct{}] {
+	sp := h.sp
 	e.stepsRun.Add(1)
 	prev := e.tail
 	pStep, fStep := hpx.NewPromise[struct{}]()
@@ -824,11 +927,7 @@ func (e *Engine) submitLocked(ctx context.Context, sp *stepPlan, loops []*core.L
 	e.mu.Unlock()
 
 	sub := e.getSubmission()
-	sub.ctx, sub.sp, sub.prev, sub.pStep = ctx, sp, prev, pStep
-	sub.kernels = sub.kernels[:0]
-	for _, l := range loops {
-		sub.kernels = append(sub.kernels, l.Kernel)
-	}
+	sub.ctx, sub.sp, sub.bodies, sub.prev, sub.pStep = ctx, sp, h.bodies, prev, pStep
 	sub.gate = gate
 	// Post in rank order under postMu so concurrent submitters cannot
 	// interleave two steps' tasks differently on different mailboxes.
@@ -905,7 +1004,7 @@ func (sub *submission) drive() {
 	// submission's driver race this recycling. (The order is safe either
 	// way — the pool is concurrency-safe — but resetting pooled fields
 	// after handing the object back would not be.)
-	sub.ctx, sub.sp, sub.prev, sub.pStep, sub.gate = nil, nil, nil, nil, nil
+	sub.ctx, sub.sp, sub.bodies, sub.prev, sub.pStep, sub.gate = nil, nil, nil, nil, nil, nil
 	e.subs.Put(sub)
 	if firstErr != nil {
 		e.recordError(firstErr) // before resolving, so RunStep can ack it
@@ -932,9 +1031,8 @@ func (e *Engine) applyReductions(lp *loopPlan, bufs [][]float64) {
 	copy(acc, lp.gbl.init)
 	if lp.needElementwise {
 		for _, el := range lp.foldOrder {
-			r := lp.itsp.owner[el]
-			s := bufs[r][int(lp.execPos[el])*size : (int(lp.execPos[el])+1)*size]
-			lp.combineScratch(acc, s)
+			p := int(lp.itsp.local[el]) // the element's slot on its owner
+			lp.combineScratch(acc, bufs[lp.itsp.owner[el]][p*size:(p+1)*size])
 		}
 	} else {
 		// Tree combine across rank partials.
@@ -961,7 +1059,7 @@ func (e *Engine) applyReductions(lp *loopPlan, bufs [][]float64) {
 			continue
 		}
 		g := ap.g.Data()
-		core.ReduceCombine(lp.l.Args[i].Acc(), g[:ap.dim], acc[ap.off:ap.off+ap.dim])
+		core.ReduceCombine(ap.acc, g[:ap.dim], acc[ap.off:ap.off+ap.dim])
 	}
 }
 
@@ -973,7 +1071,7 @@ func (lp *loopPlan) combineScratch(acc, s []float64) {
 		if ap.kind != argGblReduce {
 			continue
 		}
-		core.ReduceCombine(lp.l.Args[i].Acc(), acc[ap.off:ap.off+ap.dim], s[ap.off:ap.off+ap.dim])
+		core.ReduceCombine(ap.acc, acc[ap.off:ap.off+ap.dim], s[ap.off:ap.off+ap.dim])
 	}
 }
 

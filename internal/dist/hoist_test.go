@@ -115,17 +115,17 @@ func TestHoistedExchangePostsBeforeIntermediateLoop(t *testing.T) {
 }
 
 // TestHoistWaitsForIncrementApply pins the other half of the hoist rule:
-// when the producing loop writes through buffered increments (spread),
-// the exchange can only post once the deferred apply has resolved — the
-// plan must NOT post it while the increment exchange is still pending,
-// or stale owned values would be shipped. The step
+// when the producing loop writes through increments (spread), the
+// exchange can only post once that loop has executed — owned values are
+// final only after every increment to them landed, or stale values
+// would be shipped. The step
 //
-//	spread  (increments res through the map; apply deferred)
-//	scaleY  (independent)
+//	spread  (increments res through the map, exec halo included)
+//	scaleY  (independent: readRes's exchange hoists to its start)
 //	readRes (imports the res halo)
 //
-// must produce the serial result bitwise: a hoist past spread's apply
-// would break it.
+// must produce the serial result bitwise: a hoist past spread would
+// break it.
 func TestHoistWaitsForIncrementApply(t *testing.T) {
 	const n, ranks = 48, 3
 	ctx := context.Background()
@@ -166,7 +166,7 @@ func TestHoistWaitsForIncrementApply(t *testing.T) {
 	}
 	for i := range s.ea.Data() {
 		if math.Float64bits(s.ea.Data()[i]) != math.Float64bits(ref.ea.Data()[i]) {
-			t.Fatalf("ea[%d] differs bitwise from serial (hoist shipped pre-apply values?)", i)
+			t.Fatalf("ea[%d] differs bitwise from serial (hoist shipped pre-increment values?)", i)
 		}
 	}
 }

@@ -11,8 +11,10 @@ import (
 // occurrence's own read-halo exchange), "hoist" (posting a later
 // occurrence's exchange early), "interior" (compute overlapped with
 // messages in flight), "halo" (waiting for + scattering read imports),
-// "boundary" (compute gated on the halo), "inc-apply" (waiting for +
-// folding increment contributions).
+// "boundary" (compute gated on the halo). "inc-apply" stays in the label
+// set so dashboards and the benchmark ledger keep a stable schema, but
+// never records: exec-halo execution leaves no increments to exchange
+// or apply.
 const (
 	phIssue = iota
 	phHoist
@@ -40,10 +42,10 @@ func (e *Engine) SetMetrics(r *obs.Registry) {
 		return
 	}
 	r.CounterFunc("op2_halo_messages_total",
-		"Halo messages (read-halo and increment) posted to the transport.",
+		"Read-halo messages posted to the transport.",
 		func() float64 { return float64(e.tr.sent.Load()) })
 	r.CounterFunc("op2_halo_buffers_allocated_total",
-		"Message buffers allocated (buffer-pool misses).",
+		"Message buffers allocated (plan stock and pool misses).",
 		func() float64 { return float64(e.BufferStats().Allocated) })
 	r.CounterFunc("op2_halo_buffers_requested_total",
 		"Message buffers handed out by the per-rank pools.",

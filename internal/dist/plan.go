@@ -10,8 +10,8 @@ import (
 )
 
 // ErrInvalid classifies plan-time failures of the distributed engine:
-// unsupported access modes, partitioners missing topology information,
-// loops without a generic kernel. The public facade maps it onto
+// unsupported access modes, intra-loop aliasing, partitioners missing
+// topology information. The public facade maps it onto
 // op2.ErrValidation.
 var ErrInvalid = errors.New("dist: invalid configuration")
 
@@ -19,11 +19,17 @@ func invalidf(format string, a ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrInvalid}, a...)...)
 }
 
-// setPart is the ownership of one set: every element belongs to exactly
-// one rank. Real partitions come from a part.Partitioner; derived
-// partitions follow a map into an already-partitioned set (each element
-// executes on the rank owning its first map target), which is how
-// iteration sets like edges align with the data they increment.
+// setPart is the ownership and rank-local numbering of one set: every
+// element belongs to exactly one rank. Real partitions come from a
+// part.Partitioner; derived partitions follow a map into an
+// already-partitioned set (each element executes on the rank owning its
+// first map target), which is how iteration sets like edges align with
+// the data they increment.
+//
+// On rank r, position p < len(owned[r]) is the p-th owned element
+// (ascending global id) and position len(owned[r])+s is halo slot s — the
+// localized mesh every sharded dat on the set is laid out in and every
+// rank-local map table into the set indexes.
 type setPart struct {
 	set     *core.Set
 	owner   []int32   // global element → owning rank
@@ -32,9 +38,9 @@ type setPart struct {
 	derived bool
 	method  string
 
-	// Import-halo directory, shared by every dat on the set: slots are
-	// assigned the first time a loop plan imports an element and stay
-	// stable afterwards, so halo storage only ever grows.
+	// Halo directory: slots are assigned the first time a loop plan
+	// references a foreign element on a rank and stay stable afterwards,
+	// so the local numbering only ever grows.
 	haloSlot []map[int32]int32 // per rank: global id → halo slot
 	haloIDs  [][]int32         // per rank: halo slot → global id
 }
@@ -53,54 +59,82 @@ func (sp *setPart) finish(ranks int) {
 	}
 }
 
-// slotFor returns rank r's halo slot for global element id, assigning a
-// new one on first use. Called only while the engine lock is held (plan
-// construction); workers consume the precomputed slot numbers.
-func (sp *setPart) slotFor(r int, id int32) int32 {
-	if s, ok := sp.haloSlot[r][id]; ok {
-		return s
+// size reports rank r's local element count: owned plus halo.
+func (sp *setPart) size(r int) int { return len(sp.owned[r]) + len(sp.haloIDs[r]) }
+
+// pos returns rank r's local position of global element id, assigning a
+// halo slot on first use. Called only while the engine lock is held
+// (plan construction); workers consume the precomputed positions.
+func (sp *setPart) pos(r int, id int32) int32 {
+	if sp.owner[id] == int32(r) {
+		return sp.local[id]
 	}
-	s := int32(len(sp.haloIDs[r]))
-	sp.haloSlot[r][id] = s
-	sp.haloIDs[r] = append(sp.haloIDs[r], id)
-	return s
+	s, ok := sp.haloSlot[r][id]
+	if !ok {
+		s = int32(len(sp.haloIDs[r]))
+		sp.haloSlot[r][id] = s
+		sp.haloIDs[r] = append(sp.haloIDs[r], id)
+	}
+	return int32(len(sp.owned[r])) + s
 }
 
-// shardedDat is a dat under owned+halo storage: rank r holds the values
-// of its owned elements in owned[r] (indexed by local id) plus an import
-// halo in halo[r] (indexed by the set's halo slots). The declaration's
-// global array is stale between flushes; the shards are authoritative.
+// lookup is pos without slot assignment: -1 for a foreign element that
+// has no halo slot on rank r.
+func (sp *setPart) lookup(r int, id int32) int32 {
+	if sp.owner[id] == int32(r) {
+		return sp.local[id]
+	}
+	if s, ok := sp.haloSlot[r][id]; ok {
+		return int32(len(sp.owned[r])) + s
+	}
+	return -1
+}
+
+// ids returns the global ids of rank r's local positions [0, n).
+func (sp *setPart) ids(r, n int) []int32 {
+	out := make([]int32, n)
+	k := copy(out, sp.owned[r])
+	copy(out[k:], sp.haloIDs[r])
+	return out
+}
+
+// shardedDat is a dat on its set's localized mesh: rank r holds one
+// contiguous array, local[r], with its owned elements' values first and
+// the halo slots after. The declaration's global array is stale between
+// flushes; the shards are authoritative. The halo part is sized at plan
+// time (see Engine.growLocked) on the ranks this process hosts.
 type shardedDat struct {
 	d     *core.Dat
 	sp    *setPart
-	owned [][]float64
-	halo  [][]float64 // grown and touched only by the owning rank's worker
+	local [][]float64
 }
 
 // argKind classifies a loop argument for distributed execution.
 type argKind int
 
 const (
-	argGblRead      argKind = iota // global parameter, read-only
-	argGblReduce                   // global reduction (Inc/Min/Max)
-	argDirect                      // direct access to a sharded dat
-	argDirectRepl                  // direct read of a replicated dat
-	argIndirect                    // indirect read of a sharded dat (owned or halo)
-	argIndirectRepl                // indirect read of a replicated dat
-	argInc                         // indirect increment of a sharded dat (buffered)
+	argGblRead   argKind = iota // global parameter, read-only
+	argGblReduce                // global reduction (Inc/Min/Max)
+	argSharded                  // sharded dat, direct or through a map
+	argGathered                 // replicated dat on a partitioned set: gathered into its local numbering per occurrence
+	argHost                     // replicated dat on an unpartitioned set: the host array, indexed by global id
 )
 
 type argPlan struct {
 	kind argKind
+	acc  core.Access
 	dim  int
 	g    *core.Global
-	d    *core.Dat   // replicated storage (repl kinds)
-	sd   *shardedDat // sharded storage (direct/indirect/inc kinds)
-	m    *core.Map
+	d    *core.Dat   // every dat kind
+	sd   *shardedDat // argSharded
+	dsp  *setPart    // partition of the dat's set (argSharded, argGathered)
+	m    *core.Map   // nil for direct access
 	idx  int
 	off  int // scratch offset (argGblReduce)
-	ia   int // dense increment-arg index (argInc)
 }
+
+// reads reports whether the argument reads a dat's values.
+func (ap *argPlan) reads() bool { return ap.acc == core.Read || ap.acc == core.RW }
 
 // gblLayout mirrors the core scratch layout for reducing global args.
 type gblLayout struct {
@@ -108,68 +142,45 @@ type gblLayout struct {
 	init []float64
 }
 
-// loopPlan is the distributed execution plan of one loop: ownership and
-// interior/boundary split of the iteration set, localized argument
-// tables per rank, the read-halo and increment exchange schedules, and
-// the serial-order apply and reduction metadata that keep the results
-// bitwise-identical to the shared-memory backends.
+// loopPlan is the distributed execution plan of one loop: each rank's
+// localized elements in plan order, split into the runs that execute
+// before and after the read-halo wait, the rank-local map tables the
+// loop's body is bound to, the read-halo exchange schedules, and the
+// reduction metadata that keeps the results bitwise-identical to the
+// shared-memory backends.
 type loopPlan struct {
-	l    *core.Loop
 	name string
 	itsp *setPart
 
 	args    []argPlan
-	incArgs []int         // arg indices with kind argInc, in arg order
-	readSDs []*shardedDat // distinct sharded dats read indirectly, in arg order
+	readSDs []*shardedDat // sharded dats whose halo values the loop reads, in arg order
+	incSDs  []*shardedDat // sharded dats incremented through maps, in arg order
 	repl    []*core.Dat   // dats read as replicated (plan invalidated if sharded later)
 
 	gbl             gblLayout
 	needElementwise bool  // any Inc global: reduction folds per element in serial order
 	foldOrder       []int // serial element order (plan colors/blocks/elements)
-	execPos         []int32
 
 	ranks []*rankPlan
 }
 
-// applyList is one rank's increment application schedule, in the serial
-// plan order of the contributing elements: entry i adds the dim(arg[i])
-// contribution found at position pos[i] of source src[i]'s stream for
-// increment-arg arg[i] onto owned element target[i].
-type applyList struct {
-	arg    []int32
-	target []int32
-	src    []int32
-	pos    []int32
-}
-
 type readSendPart struct {
 	sd     *shardedDat
-	locals []int32 // owned local indices to gather, ascending global id
+	locals []int32 // owned positions to gather, ascending global id
 }
 
 type readRecvPart struct {
-	sd    *shardedDat
-	slots []int32 // halo slots to scatter into, ascending global id
-}
-
-type incSendPart struct {
-	ia  int
-	pos []int32 // exec positions into incBuf[ia], ascending global element id
-}
-
-type haloNeed struct {
-	sd    *shardedDat
-	slots int
+	sd  *shardedDat
+	pos []int32 // halo positions to scatter into, ascending global id
 }
 
 // readSchedule is one rank's read-halo exchange for one posting point:
 // which owned values to pack per destination, which messages to expect
-// per source, and how to scatter them into halo slots. A loopPlan holds
-// the solo schedule of each rank (what the loop needs when issued on its
-// own); a multi-loop step builds union schedules that serve every loop
-// of a coalescing group with one exchange (see stepPlan).
+// per source, and where to scatter them. A loopPlan holds the solo
+// schedule of each rank (what the loop needs when issued on its own); a
+// multi-loop step builds union schedules that serve every loop of a
+// coalescing group with one exchange (see stepPlan).
 type readSchedule struct {
-	need     []haloNeed       // halo storage growth required before scattering
 	sendTo   [][]readSendPart // per dst rank; empty = no message
 	sendLen  []int            // floats per dst
 	recvFrom [][]readRecvPart // per src rank
@@ -191,37 +202,49 @@ func (rs *readSchedule) active() bool {
 	return false
 }
 
-// rankPlan is the per-rank slice of a loopPlan. incBuf is reused across
-// invocations (zeroed at task start); it is only ever touched by this
-// rank's worker, which processes loops strictly in order.
+// gather refreshes one replicated dat's rank-local copy from the host
+// array at the start of every occurrence, so host writes stay visible
+// exactly as they were to the host-indexed loops.
+type gather struct {
+	d   *core.Dat
+	ids []int32 // global id per local position
+	buf []float64
+}
+
+func (g *gather) fill() {
+	dim := g.d.Dim()
+	src := g.d.Data()
+	for p, id := range g.ids {
+		copy(g.buf[p*dim:(p+1)*dim], src[int(id)*dim:(int(id)+1)*dim])
+	}
+}
+
+// rankPlan is the per-rank slice of a loopPlan. Runs are [lo, hi) pairs
+// of local positions of the iteration set, in plan order; a run never
+// crosses from owned positions into the exec halo.
 type rankPlan struct {
-	rank      int
-	elems     []int32 // interior ++ boundary, in serial plan order
-	ninterior int
-	loc       [][]int32 // per arg: localized index per exec position (nil for kinds without a table)
+	rank   int
+	nowned int     // positions below are owned, at or above exec halo
+	early  []int32 // runs that read no halo value: execute while messages fly
+	late   []int32 // runs gated on the read-halo exchange
 
-	incBuf [][]float64 // per dense increment-arg index
+	// halo lists, per sharded dat, the foreign ids the rank reads in
+	// ascending global id — the canonical import need the exchange
+	// schedules are built from.
+	halo map[*shardedDat][]int32
 
-	// views is the rank's reusable kernel argument-view slice: only this
-	// rank's worker touches it, and workers process occurrences and
-	// steps strictly in order.
-	views [][]float64
+	// Binding targets, built on the ranks this process hosts.
+	maps    map[*core.Map][]int32 // localized map tables, rows by local position
+	gathers []*gather
 
 	read *readSchedule // the loop's own read-halo exchange
-
-	incSendTo  [][]incSendPart // per dst rank
-	incSendLen []int
-	incRecvOff [][]int32 // per src rank: float offset of each dense inc arg's segment
-	incRecvLen []int
-
-	apply applyList
 }
 
 // loopKey identifies a distributed plan structurally: the iteration set
 // and the (dat/global, map, index, access) shape of every argument.
 // Loops declared inline each timestep therefore share one cached plan
-// instead of growing the cache without bound; the kernel is not part of
-// the key (it travels with each task).
+// instead of growing the cache without bound; the body is not part of
+// the key (it is bound per loop, see Engine.bindLocked).
 func loopKey(l *core.Loop) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%p", l.Set)
@@ -236,13 +259,10 @@ func loopKey(l *core.Loop) string {
 }
 
 // validateDistLoop rejects loops the distributed engine cannot replay
-// with serial semantics: missing generic kernels, unsupported indirect
-// access modes, and intra-loop aliasing between buffered increments,
-// direct writes and halo-snapshotted reads.
+// with serial semantics: unsupported indirect access modes, and
+// intra-loop aliasing between increments, direct writes and
+// halo-snapshotted reads.
 func validateDistLoop(l *core.Loop) error {
-	if l.Kernel == nil {
-		return invalidf("loop %q: distributed execution needs a generic Kernel (a specialized Body indexes host storage directly)", l.Name)
-	}
 	if err := l.Validate(); err != nil {
 		return err
 	}
@@ -258,11 +278,12 @@ func validateDistLoop(l *core.Loop) error {
 	}
 	// Intra-loop aliasing the engine cannot replay: serial applies
 	// increments and direct writes immediately, so a later element's
-	// read can observe them; owner-compute buffers increments and
-	// snapshots read-halos before any kernel runs. A loop that both
-	// writes a dat (inc or direct write) and reads it through a map (or
-	// reads an incremented dat at all) would silently diverge from the
-	// serial backend, so reject it instead.
+	// read can observe them; a rank reads foreign values from a halo
+	// snapshot taken before any element runs, and its halo slots of an
+	// incremented dat hold contributions that are never read. A loop
+	// that both writes a dat (inc or direct write) and reads it through
+	// a map (or reads an incremented dat at all) would silently diverge
+	// from the serial backend, so reject it instead.
 	incd := map[*core.Dat]bool{}
 	directWrite := map[*core.Dat]bool{}
 	indirectRead := map[*core.Dat]bool{}
@@ -281,7 +302,7 @@ func validateDistLoop(l *core.Loop) error {
 	}
 	for _, a := range l.Args {
 		if !a.IsGlobal() && a.Acc() != core.Inc && incd[a.Dat()] {
-			return invalidf("loop %q: dat %q is both read and incremented; distributed increments are buffered, so reads would not observe them as the serial backend's do", l.Name, a.Dat().Name())
+			return invalidf("loop %q: dat %q is both read and incremented; distributed ranks read foreign values from a halo snapshot, so reads would not observe the increments as the serial backend's do", l.Name, a.Dat().Name())
 		}
 	}
 	for d := range directWrite {
@@ -295,10 +316,10 @@ func validateDistLoop(l *core.Loop) error {
 // prepareLoopLocked establishes the ownership and sharding state a
 // validated loop needs: target sets of sharded indirect accesses
 // partitioned, the iteration set partitioned (derived through a map when
-// possible), and every written dat moved to owned+halo storage. It is
-// idempotent; a Step calls it for every member loop before any member's
-// plan is built, so a dat a later loop writes is already sharded when an
-// earlier loop's locator tables are derived.
+// possible), and every written dat moved to its set's localized mesh. It
+// is idempotent; a Step calls it for every member loop before any
+// member's plan is built, so a dat a later loop writes is already sharded
+// when an earlier loop's plan is derived.
 func (e *Engine) prepareLoopLocked(l *core.Loop) error {
 	// Ownership first: target sets of indirect accesses that are (or are
 	// about to be) sharded must be partitioned before the iteration set
@@ -350,7 +371,8 @@ func (e *Engine) prepareLoopLocked(l *core.Loop) error {
 
 // planLocked returns the cached distributed plan for l, building it (and
 // any ownership, sharding and halo state it needs) on first use. The
-// engine lock must be held.
+// engine lock must be held; the caller grows the local storage the new
+// plan references (growLocked) before anything executes it.
 func (e *Engine) planLocked(l *core.Loop) (*loopPlan, error) {
 	key := loopKey(l)
 	if lp, ok := e.plans[key]; ok {
@@ -362,18 +384,16 @@ func (e *Engine) planLocked(l *core.Loop) (*loopPlan, error) {
 	if err := e.prepareLoopLocked(l); err != nil {
 		return nil, err
 	}
-	R := e.ranks
-	itsp := e.sets[l.Set]
 	e.builds++
-
-	lp := &loopPlan{l: l, name: l.Name, itsp: itsp, execPos: make([]int32, l.Set.Size())}
+	lp := &loopPlan{name: l.Name, itsp: e.sets[l.Set]}
 	lp.args = make([]argPlan, len(l.Args))
-	seenReadSD := map[*shardedDat]bool{}
+	seenSD := map[*shardedDat]bool{}
+	seenInc := map[*shardedDat]bool{}
 	seenRepl := map[*core.Dat]bool{}
 	for i, a := range l.Args {
 		ap := &lp.args[i]
-		switch {
-		case a.IsGlobal():
+		ap.acc = a.Acc()
+		if a.IsGlobal() {
 			g := a.Global()
 			ap.g, ap.dim = g, g.Dim()
 			e.fenceGlobalLocked(g)
@@ -390,164 +410,212 @@ func (e *Engine) planLocked(l *core.Loop) (*loopPlan, error) {
 			if a.Acc() == core.Inc {
 				lp.needElementwise = true
 			}
-		case a.Map() == nil:
-			d := a.Dat()
-			ap.dim = d.Dim()
-			if sd := e.dats[d]; sd != nil {
-				ap.kind, ap.sd = argDirect, sd
-			} else {
-				ap.kind, ap.d = argDirectRepl, d
-				if !seenRepl[d] {
-					seenRepl[d] = true
-					lp.repl = append(lp.repl, d)
-					e.fenceReplicatedLocked(d)
-				}
+			continue
+		}
+		d := a.Dat()
+		ap.d, ap.dim, ap.m, ap.idx = d, d.Dim(), a.Map(), a.Idx()
+		if sd := e.dats[d]; sd != nil {
+			ap.kind, ap.sd, ap.dsp = argSharded, sd, sd.sp
+			if ap.m != nil && ap.acc == core.Inc && !seenInc[sd] {
+				seenInc[sd] = true
+				lp.incSDs = append(lp.incSDs, sd)
 			}
-		default:
-			d := a.Dat()
-			ap.dim, ap.m, ap.idx = d.Dim(), a.Map(), a.Idx()
-			sd := e.dats[d]
-			switch {
-			case a.Acc() == core.Inc:
-				ap.kind, ap.sd = argInc, sd
-				ap.ia = len(lp.incArgs)
-				lp.incArgs = append(lp.incArgs, i)
-			case sd != nil:
-				ap.kind, ap.sd = argIndirect, sd
-				if !seenReadSD[sd] {
-					seenReadSD[sd] = true
-					lp.readSDs = append(lp.readSDs, sd)
-				}
-			default:
-				ap.kind, ap.d = argIndirectRepl, d
-				if !seenRepl[d] {
-					seenRepl[d] = true
-					lp.repl = append(lp.repl, d)
-					e.fenceReplicatedLocked(d)
-				}
-			}
+			continue
+		}
+		ap.kind = argHost
+		if dsp := e.sets[d.Set()]; dsp != nil {
+			ap.kind, ap.dsp = argGathered, dsp
+		}
+		if !seenRepl[d] {
+			seenRepl[d] = true
+			lp.repl = append(lp.repl, d)
+			e.fenceReplicatedLocked(d)
+		}
+	}
+	// Halo values are read through maps, and directly by exec-halo
+	// elements (which exist only in loops with indirect increments).
+	for i := range lp.args {
+		ap := &lp.args[i]
+		if ap.kind == argSharded && ap.reads() && (ap.m != nil || len(lp.incSDs) > 0) && !seenSD[ap.sd] {
+			seenSD[ap.sd] = true
+			lp.readSDs = append(lp.readSDs, ap.sd)
 		}
 	}
 
-	// The serial execution order and the interior/boundary split: an
-	// element is interior when every sharded read it performs stays on
-	// its home rank.
 	plan, err := core.LoopPlan(l, e.blockSize)
 	if err != nil {
 		return nil, err
 	}
-	home := func(el int) int { return int(itsp.owner[el]) }
-	interior := func(el int) bool {
-		r := itsp.owner[el]
-		for i := range lp.args {
-			ap := &lp.args[i]
-			if ap.kind != argIndirect {
-				continue
-			}
-			if ap.sd.sp.owner[ap.m.At(el, ap.idx)] != r {
-				return false
-			}
-		}
-		return true
+	lp.foldOrder = plan.ElementOrder()
+	execs := lp.execLists(e.ranks)
+	lp.ranks = make([]*rankPlan, e.ranks)
+	for r := range lp.ranks {
+		lp.ranks[r] = e.buildRank(lp, r, execs[r])
 	}
-	pp := plan.PartitionOrder(R, home, interior)
-	lp.foldOrder = pp.Order
-
-	lp.ranks = make([]*rankPlan, R)
-	for r := 0; r < R; r++ {
-		rp := &rankPlan{rank: r, ninterior: len(pp.Interior[r])}
-		rp.elems = make([]int32, 0, len(pp.Interior[r])+len(pp.Boundary[r]))
-		for _, el := range pp.Interior[r] {
-			rp.elems = append(rp.elems, int32(el))
-		}
-		for _, el := range pp.Boundary[r] {
-			rp.elems = append(rp.elems, int32(el))
-		}
-		for i, el := range rp.elems {
-			lp.execPos[el] = int32(i)
-		}
-		lp.ranks[r] = rp
-	}
-
-	e.buildLocators(lp)
 	e.buildReadExchange(lp)
-	e.buildIncExchange(lp)
 
 	e.plans[key] = lp
 	return lp, nil
 }
 
-// buildLocators fills the per-rank localized argument tables and
-// allocates the increment contribution buffers.
-func (e *Engine) buildLocators(lp *loopPlan) {
-	for _, rp := range lp.ranks {
-		r := rp.rank
-		n := len(rp.elems)
-		rp.loc = make([][]int32, len(lp.args))
-		rp.incBuf = make([][]float64, len(lp.incArgs))
-		rp.views = make([][]float64, len(lp.args))
-		for ai := range lp.args {
-			ap := &lp.args[ai]
-			switch ap.kind {
-			case argDirect:
-				t := make([]int32, n)
-				for i, el := range rp.elems {
-					t[i] = lp.itsp.local[el]
-				}
-				rp.loc[ai] = t
-			case argDirectRepl:
-				t := make([]int32, n)
-				for i, el := range rp.elems {
-					t[i] = el
-				}
-				rp.loc[ai] = t
-			case argIndirectRepl:
-				t := make([]int32, n)
-				for i, el := range rp.elems {
-					t[i] = int32(ap.m.At(int(el), ap.idx))
-				}
-				rp.loc[ai] = t
-			case argIndirect:
-				sp := ap.sd.sp
-				t := make([]int32, n)
-				for i, el := range rp.elems {
-					tgt := int32(ap.m.At(int(el), ap.idx))
-					if sp.owner[tgt] == int32(r) {
-						t[i] = sp.local[tgt]
-					} else {
-						t[i] = -sp.slotFor(r, tgt) - 1
-					}
-				}
-				rp.loc[ai] = t
-			case argInc:
-				rp.incBuf[ap.ia] = make([]float64, n*ap.dim)
+// execLists splits the plan order across ranks: every rank executes its
+// own elements and, in a loop with indirect increments, the foreign
+// elements that increment one of its owned elements — the exec halo,
+// executed redundantly so that increments to owned elements never cross
+// the wire. Each list keeps plan order.
+func (lp *loopPlan) execLists(ranks int) [][]int32 {
+	execs := make([][]int32, ranks)
+	last := make([]int32, ranks) // last element appended per rank, deduplicating exec-halo entries
+	for r := range last {
+		last[r] = -1
+	}
+	for _, el := range lp.foldOrder {
+		e32 := int32(el)
+		o := lp.itsp.owner[el]
+		execs[o] = append(execs[o], e32)
+		last[o] = e32
+		for i := range lp.args {
+			ap := &lp.args[i]
+			if ap.kind != argSharded || ap.m == nil || ap.acc != core.Inc {
+				continue
+			}
+			if t := ap.sd.sp.owner[ap.m.At(el, ap.idx)]; last[t] != e32 {
+				execs[t] = append(execs[t], e32)
+				last[t] = e32
 			}
 		}
 	}
+	return execs
 }
 
-// loopHaloIDs returns the halo ids of sd that rank r's locator tables
-// for lp reference, in ascending global id — the canonical per-(loop,
-// rank, dat) import need the exchange schedules are built from.
-func loopHaloIDs(lp *loopPlan, r int, sd *shardedDat) []int32 {
-	rp := lp.ranks[r]
-	need := map[int32]bool{}
-	for ai := range lp.args {
-		ap := &lp.args[ai]
-		if ap.kind != argIndirect || ap.sd != sd {
+// buildRank derives rank r's slice of the plan from its exec list: the
+// local positions (assigning halo slots to every foreign element and map
+// target it touches), the foreign values it reads, the early/late split,
+// and — on ranks this process hosts — the map tables and gather buffers
+// its bound body indexes.
+//
+// An element runs early, before the read-halo wait, only if it reads no
+// halo value and no owned increment target it shares has already taken a
+// contribution from a late element earlier in plan order. One pass over
+// plan order decides this, so every owned element still receives its
+// increments in the loop plan's ElementOrder — bitwise identity with the
+// serial backend by construction.
+func (e *Engine) buildRank(lp *loopPlan, r int, exec []int32) *rankPlan {
+	itsp := lp.itsp
+	rp := &rankPlan{rank: r, nowned: len(itsp.owned[r]), halo: map[*shardedDat][]int32{}}
+	need := map[*shardedDat]map[int32]bool{}
+	taint := map[*shardedDat][]bool{} // owned targets that took a late contribution
+	split := int32(rp.nowned)
+	var late []int32
+	for _, el := range exec {
+		p := itsp.pos(r, el)
+		halo := false
+		for i := range lp.args {
+			ap := &lp.args[i]
+			if ap.dsp == nil {
+				continue // globals and host-indexed dats
+			}
+			id := el
+			if ap.m != nil {
+				id = int32(ap.m.At(int(el), ap.idx))
+			}
+			q := ap.dsp.pos(r, id)
+			if ap.kind != argSharded || q < int32(len(ap.dsp.owned[r])) {
+				if ap.kind == argSharded && ap.m != nil && ap.acc == core.Inc && taint[ap.sd] != nil && taint[ap.sd][q] {
+					halo = true
+				}
+				continue
+			}
+			if ap.reads() {
+				if need[ap.sd] == nil {
+					need[ap.sd] = map[int32]bool{}
+				}
+				need[ap.sd][id] = true
+				halo = true
+			}
+		}
+		if !halo {
+			rp.early = appendRun(rp.early, p, split)
 			continue
 		}
-		for _, v := range rp.loc[ai] {
-			if v < 0 {
-				need[sd.sp.haloIDs[r][-v-1]] = true
+		late = append(late, p)
+		for i := range lp.args {
+			ap := &lp.args[i]
+			if ap.kind != argSharded || ap.m == nil || ap.acc != core.Inc {
+				continue
+			}
+			tsp := ap.sd.sp
+			if q := tsp.lookup(r, int32(ap.m.At(int(el), ap.idx))); q < int32(len(tsp.owned[r])) {
+				if taint[ap.sd] == nil {
+					taint[ap.sd] = make([]bool, len(tsp.owned[r]))
+				}
+				taint[ap.sd][q] = true
 			}
 		}
 	}
-	if len(need) == 0 {
-		return nil
+	for _, p := range late {
+		rp.late = appendRun(rp.late, p, split)
 	}
-	ids := make([]int32, 0, len(need))
-	for id := range need {
+	for sd, ids := range need {
+		rp.halo[sd] = sortedIDs(ids)
+	}
+	if e.workers[r] == nil {
+		return rp // hosted by a peer process: schedules only
+	}
+	rp.maps = map[*core.Map][]int32{}
+	seenGather := map[*core.Dat]bool{}
+	for i := range lp.args {
+		ap := &lp.args[i]
+		if ap.m != nil && rp.maps[ap.m] == nil {
+			rp.maps[ap.m] = e.localMap(ap.m, itsp, r)
+		}
+		if ap.kind == argGathered && !seenGather[ap.d] {
+			seenGather[ap.d] = true
+			n := ap.dsp.size(r)
+			rp.gathers = append(rp.gathers, &gather{d: ap.d, ids: ap.dsp.ids(r, n), buf: make([]float64, n*ap.dim)})
+		}
+	}
+	return rp
+}
+
+// localMap builds rank r's table of map m: one row per local position of
+// the source set, holding local positions of the target set when that set
+// is partitioned (global ids otherwise — its dats are only ever read from
+// the host arrays). Entries no plan references stay -1.
+func (e *Engine) localMap(m *core.Map, from *setPart, r int) []int32 {
+	dim := m.Dim()
+	n := from.size(r)
+	t := make([]int32, n*dim)
+	to := e.sets[m.To()]
+	ids := from.ids(r, n)
+	src := m.Data()
+	for p, id := range ids {
+		row := src[int(id)*dim : (int(id)+1)*dim]
+		for k, tgt := range row {
+			if to != nil {
+				tgt = to.lookup(r, tgt)
+			}
+			t[p*dim+k] = tgt
+		}
+	}
+	return t
+}
+
+// appendRun extends the run list with local position p, merging it into
+// the last run when contiguous; runs never merge across split, the first
+// exec-halo position.
+func appendRun(runs []int32, p, split int32) []int32 {
+	if n := len(runs); n > 0 && runs[n-1] == p && p != split {
+		runs[n-1]++
+		return runs
+	}
+	return append(runs, p, p+1)
+}
+
+// sortedIDs returns a set of ids as an ascending slice.
+func sortedIDs(set map[int32]bool) []int32 {
+	ids := make([]int32, 0, len(set))
+	for id := range set {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -592,145 +660,29 @@ func (e *Engine) buildReadSchedules(dats []*shardedDat, needIDs func(r int, sd *
 				if len(group) == 0 {
 					continue
 				}
-				slots := make([]int32, len(group))
+				pos := make([]int32, len(group))
 				locals := make([]int32, len(group))
 				for i, id := range group {
-					slots[i] = sp.haloSlot[r][id]
+					pos[i] = sp.lookup(r, id)
 					locals[i] = sp.local[id]
 				}
-				scheds[r].recvFrom[s] = append(scheds[r].recvFrom[s], readRecvPart{sd: sd, slots: slots})
+				scheds[r].recvFrom[s] = append(scheds[r].recvFrom[s], readRecvPart{sd: sd, pos: pos})
 				scheds[r].recvLen[s] += len(group) * sd.d.Dim()
 				scheds[s].sendTo[r] = append(scheds[s].sendTo[r], readSendPart{sd: sd, locals: locals})
 				scheds[s].sendLen[r] += len(group) * sd.d.Dim()
 			}
 		}
 	}
-	// Snapshot the halo growth each rank needs before it can scatter.
-	for r := 0; r < R; r++ {
-		seen := map[*shardedDat]bool{}
-		for _, sd := range dats {
-			if seen[sd] {
-				continue
-			}
-			seen[sd] = true
-			scheds[r].need = append(scheds[r].need, haloNeed{sd: sd, slots: len(sd.sp.haloIDs[r])})
-		}
-	}
 	return scheds
 }
 
 // buildReadExchange attaches each rank's solo read-halo schedule to the
-// loop plan: rank r imports exactly the halo ids its own locators
-// reference.
+// loop plan: rank r imports exactly the halo ids it reads.
 func (e *Engine) buildReadExchange(lp *loopPlan) {
 	scheds := e.buildReadSchedules(lp.readSDs, func(r int, sd *shardedDat) []int32 {
-		return loopHaloIDs(lp, r, sd)
+		return lp.ranks[r].halo[sd]
 	})
 	for _, rp := range lp.ranks {
 		rp.read = scheds[rp.rank]
-	}
-}
-
-// buildIncExchange derives the increment routing: which buffered
-// contributions each rank exports to which owner, and — on the owner —
-// the apply schedule that folds local and imported contributions into
-// the owned values in exactly the serial plan order.
-func (e *Engine) buildIncExchange(lp *loopPlan) {
-	R := e.ranks
-	nia := len(lp.incArgs)
-	for _, rp := range lp.ranks {
-		rp.incSendTo = make([][]incSendPart, R)
-		rp.incSendLen = make([]int, R)
-		rp.incRecvOff = make([][]int32, R)
-		rp.incRecvLen = make([]int, R)
-	}
-	if nia == 0 {
-		return
-	}
-	// Export lists per (source rank, owner rank, inc arg), in ascending
-	// global element id: the canonical message order both sides derive.
-	type key struct {
-		s, o, ia int
-	}
-	exports := map[key][]int32{}
-	for _, rp := range lp.ranks {
-		s := rp.rank
-		sorted := append([]int32(nil), rp.elems...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		for _, ia := range lp.incArgs {
-			ap := &lp.args[ia]
-			sp := ap.sd.sp
-			for _, el := range sorted {
-				o := int(sp.owner[ap.m.At(int(el), ap.idx)])
-				if o != s {
-					k := key{s, o, ap.ia}
-					exports[k] = append(exports[k], el)
-				}
-			}
-		}
-	}
-	// Positions of exported elements within their (s,o,ia) stream.
-	expPos := map[key]map[int32]int32{}
-	for k, ids := range exports {
-		m := make(map[int32]int32, len(ids))
-		for i, el := range ids {
-			m[el] = int32(i)
-		}
-		expPos[k] = m
-	}
-	// Sender pack schedules and receiver segment offsets.
-	for _, rp := range lp.ranks {
-		s := rp.rank
-		for o := 0; o < R; o++ {
-			if o == s {
-				continue
-			}
-			off := int32(0)
-			var offs []int32
-			any := false
-			for ia := 0; ia < nia; ia++ {
-				ids := exports[key{s, o, ia}]
-				dim := lp.args[lp.incArgs[ia]].dim
-				offs = append(offs, off)
-				if len(ids) > 0 {
-					pos := make([]int32, len(ids))
-					for i, el := range ids {
-						pos[i] = lp.execPos[el]
-					}
-					rp.incSendTo[o] = append(rp.incSendTo[o], incSendPart{ia: ia, pos: pos})
-					off += int32(len(ids) * dim)
-					any = true
-				}
-			}
-			if any {
-				rp.incSendLen[o] = int(off)
-				orp := lp.ranks[o]
-				orp.incRecvOff[s] = offs
-				orp.incRecvLen[s] = int(off)
-			}
-		}
-	}
-	// Apply schedules: walk every element in serial plan order; each
-	// contribution targeting an owned element is folded in, whether it
-	// was computed locally or arrives in a message.
-	for _, el := range lp.foldOrder {
-		s := int(lp.itsp.owner[el])
-		for ia := 0; ia < nia; ia++ {
-			ap := &lp.args[lp.incArgs[ia]]
-			sp := ap.sd.sp
-			tgt := int32(ap.m.At(el, ap.idx))
-			o := int(sp.owner[tgt])
-			orp := lp.ranks[o]
-			var pos int32
-			if o == s {
-				pos = lp.execPos[el]
-			} else {
-				pos = expPos[key{s, o, ia}][int32(el)]
-			}
-			orp.apply.arg = append(orp.apply.arg, int32(ia))
-			orp.apply.target = append(orp.apply.target, sp.local[tgt])
-			orp.apply.src = append(orp.apply.src, int32(s))
-			orp.apply.pos = append(orp.apply.pos, pos)
-		}
 	}
 }

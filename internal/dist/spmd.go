@@ -70,6 +70,15 @@ type PoolBinder interface {
 	BindBufferPool(get func(rank, n int) []float64, put func(rank int, b []float64))
 }
 
+// FrameStocker is implemented by transports that serialize outbound
+// payloads into pooled wire frames. The engine stocks the frame pool
+// with the message shapes a compiled plan sends, as it stocks its own
+// buffer pools, so steady-state sends never allocate a frame.
+type FrameStocker interface {
+	// StockFrames adds n frames able to carry a payload of floats values.
+	StockFrames(floats, n int)
+}
+
 // LocalRank reports the rank this process hosts in SPMD mode, or -1
 // when every rank is an in-process goroutine.
 func (e *Engine) LocalRank() int { return e.local }
@@ -82,13 +91,13 @@ func (e *Engine) TransportImpl() Transport { return e.tr.inner }
 // partialLen is the exact length of rank r's reduction partial for this
 // loop — derived from the shared plan, so sender and receiver agree
 // without negotiating (an elementwise partial holds one slot per
-// element rank r executes; a combinable one holds one accumulator).
+// element rank r owns; a combinable one holds one accumulator).
 func (lp *loopPlan) partialLen(r int) int {
 	if lp.gbl.size == 0 {
 		return 0
 	}
 	if lp.needElementwise {
-		return len(lp.ranks[r].elems) * lp.gbl.size
+		return len(lp.itsp.owned[r]) * lp.gbl.size
 	}
 	return lp.gbl.size
 }
@@ -153,7 +162,7 @@ func (e *Engine) releasePartials(bufs [][]float64) {
 // on both sides by the same ownership-derived rule.
 func (e *Engine) gatherFlush(sd *shardedDat) error {
 	r := e.local
-	own := sd.owned[r]
+	own := sd.local[r][:len(sd.sp.owned[r])*sd.d.Dim()]
 	for dst := 0; dst < e.ranks; dst++ {
 		if dst == r || len(own) == 0 {
 			continue
@@ -166,7 +175,7 @@ func (e *Engine) gatherFlush(sd *shardedDat) error {
 		if src == r {
 			continue
 		}
-		want := len(sd.owned[src])
+		want := len(sd.sp.owned[src]) * sd.d.Dim()
 		if want == 0 {
 			continue
 		}
@@ -179,7 +188,7 @@ func (e *Engine) gatherFlush(sd *shardedDat) error {
 			return fmt.Errorf("dist: flush %q shard from rank %d: got %d floats, want %d: %w",
 				sd.d.Name(), src, len(msg), want, ErrHaloCorrupt)
 		}
-		copy(sd.owned[src], msg)
+		copy(sd.local[src], msg)
 		e.putBuf(src, msg)
 		fut.Release()
 	}

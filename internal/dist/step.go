@@ -14,15 +14,12 @@ import (
 //     same dat's halo with no intervening write share one exchange,
 //     posted by the first importer (the group leader) and sized to the
 //     union of the group's needs, and
-//   - deferred increment application: a loop's increment exchange stays
-//     in flight (and its owner-side apply pending) while later loops
-//     that do not observe the incremented dat execute their interiors;
-//     the apply resolves, in submission order, right before the first
-//     loop that reads or overwrites the dat.
+//   - hoisted posting: a leader's exchange is posted as soon as every
+//     dat it carries holds its final owned values, so the messages
+//     travel while the occurrences in between compute.
 //
 // Single loops are one-loop steps: their leader schedule is the loop's
-// own and their apply resolves at the end of the step, which is exactly
-// the loop-at-a-time behaviour.
+// own, which is exactly the loop-at-a-time behaviour.
 type stepPlan struct {
 	key   string
 	name  string
@@ -40,21 +37,14 @@ type stepPlan struct {
 	gblReduces []*core.Global // globals any member reduces, deduped
 	lastSub    gateRef        // this plan's last reducing submission (engine lock)
 
-	// incDue[o] is the occurrence index before which occurrence o's
-	// pending increment apply must resolve: the first later occurrence
-	// that observes or overwrites an incremented dat's owned values (or
-	// reuses the same plan's increment buffers); len(loops) when nothing
-	// in the step does, so the apply drains at step end.
-	incDue []int
-
 	// hoistAt[o] is the occurrence at whose START occurrence o's leader
 	// read-halo exchange posts: o itself when the exchange cannot move
 	// (or o leads nothing), or the earliest occurrence by which every
-	// dat of the union has its final owned values — after the last
-	// direct writer's execution and the last increment writer's deferred
-	// apply (incDue). hoisted[h] lists the leaders L > h whose exchange
-	// posts at the start of occurrence h, in ascending L, so every rank
-	// posts the same per-pair message sequence. Hoisting moves posting
+	// dat of the union has its final owned values — right after the last
+	// earlier writer (direct or increment) executed. hoisted[h] lists
+	// the leaders L > h whose exchange posts at the start of occurrence
+	// h, in ascending L, so every rank posts the same per-pair message
+	// sequence. Hoisting moves posting
 	// only: the leader still waits (and scatters) at its own occurrence,
 	// and the message count is untouched — a union schedule moves as one
 	// message per pair, pinned at the max readiness of its dats.
@@ -99,49 +89,131 @@ func stepKey(loops []*core.Loop) string {
 }
 
 // StepHandle pins a compiled distributed step plan to its declaring
-// Step: the structural key is computed once and the plan pointer is
-// revalidated per submission with one map lookup, so steady-state issue
-// skips the per-invocation key construction and re-planning that
-// RunStepAsync pays for anonymous loop lists. If re-sharding a
-// replicated dat invalidated the plan, the next submission rebuilds it
+// Step: the structural key is computed once, the plan pointer is
+// revalidated per submission with one map lookup, and the member loops'
+// bodies stay bound to every hosted rank's local mesh, so steady-state
+// issue skips the per-invocation key construction, re-planning and
+// binding that RunStepAsync pays for anonymous loop lists. If
+// re-sharding a replicated dat invalidated the plan, or a later plan grew
+// a local mesh the bodies index, the next submission rebinds
 // transparently.
 type StepHandle struct {
-	name  string
-	key   string
-	loops []*core.Loop
-	sp    *stepPlan
+	name   string
+	key    string
+	loops  []*core.Loop
+	sp     *stepPlan
+	bodies [][]core.RangeBody // per occurrence, per rank (nil off-process)
+	layout uint64             // Engine.layout the bodies were bound against
 }
 
 // CompileStep builds (or fetches) the distributed plan for the step and
-// returns a handle that pins it for repeated submission.
+// returns a handle that pins it, with its bodies bound, for repeated
+// submission.
 func (e *Engine) CompileStep(name string, loops []*core.Loop) (*StepHandle, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return nil, invalidf("engine is closed")
 	}
-	sp, err := e.stepPlanLocked(name, loops)
-	if err != nil {
+	h := &StepHandle{name: name, key: stepKey(loops), loops: append([]*core.Loop(nil), loops...)}
+	if err := e.refreshLocked(h); err != nil {
 		return nil, err
 	}
-	return &StepHandle{
-		name:  name,
-		key:   stepKey(loops),
-		loops: append([]*core.Loop(nil), loops...),
-		sp:    sp,
-	}, nil
+	return h, nil
 }
 
+// refreshLocked makes the handle current: (re)builds its plan when the
+// cache no longer holds it, and rebinds its bodies when the plan changed
+// or a plan build since the last binding reallocated local storage. The
+// engine lock must be held. Steady-state submissions find both current
+// and return after two comparisons.
+func (e *Engine) refreshLocked(h *StepHandle) error {
+	if h.sp == nil || e.steps[h.key] != h.sp {
+		sp, err := e.stepPlanLocked(h.name, h.loops)
+		if err != nil {
+			return err
+		}
+		h.sp, h.bodies = sp, nil
+	}
+	if h.bodies == nil || h.layout != e.layout {
+		h.bodies, h.layout = e.bindLocked(h.sp, h.loops), e.layout
+	}
+	return nil
+}
+
+// bindLocked binds every occurrence's body factory to each hosted rank's
+// local mesh: the rank's sharded arrays, its gathered copies of
+// replicated dats, and the plan's rank-local map tables.
+func (e *Engine) bindLocked(sp *stepPlan, loops []*core.Loop) [][]core.RangeBody {
+	bodies := make([][]core.RangeBody, len(loops))
+	for o, l := range loops {
+		bodies[o] = make([]core.RangeBody, e.ranks)
+		f := l.Factory()
+		for r, w := range e.workers {
+			if w != nil {
+				bodies[o][r] = f(rankBindings{lp: sp.loops[o], r: r})
+			}
+		}
+	}
+	return bodies
+}
+
+// rankBindings resolves a loop's declared containers to one rank's local
+// mesh. Containers the loop does not declare resolve to nil, so a body
+// that strays outside its declared arguments fails loudly instead of
+// touching host storage.
+type rankBindings struct {
+	lp *loopPlan
+	r  int
+}
+
+func (b rankBindings) Dat(d *core.Dat) []float64 {
+	for i := range b.lp.args {
+		ap := &b.lp.args[i]
+		if ap.d != d {
+			continue
+		}
+		switch ap.kind {
+		case argSharded:
+			return ap.sd.local[b.r]
+		case argGathered:
+			for _, g := range b.lp.ranks[b.r].gathers {
+				if g.d == d {
+					return g.buf
+				}
+			}
+		case argHost:
+			return d.Data()
+		}
+	}
+	return nil
+}
+
+func (b rankBindings) Map(m *core.Map) []int32 { return b.lp.ranks[b.r].maps[m] }
+
 // stepPlanLocked returns the cached distributed plan for the step,
-// building it on first use. The engine lock must be held.
+// building it on first use, with every hosted rank's local storage grown
+// to what the plan references. The engine lock must be held (growLocked
+// may release it while it drains the engine).
 func (e *Engine) stepPlanLocked(name string, loops []*core.Loop) (*stepPlan, error) {
 	if len(loops) == 0 {
 		return nil, invalidf("step %q has no loops", name)
 	}
 	key := stepKey(loops)
-	if sp, ok := e.steps[key]; ok {
-		return sp, nil
+	sp, ok := e.steps[key]
+	if !ok {
+		var err error
+		if sp, err = e.buildStepPlanLocked(key, name, loops); err != nil {
+			return nil, err
+		}
 	}
+	return sp, e.growLocked()
+}
+
+// buildStepPlanLocked validates the step's loops, prepares their
+// ownership and sharding, builds (or fetches) every member plan and the
+// step's cross-loop schedules, and caches the result.
+func (e *Engine) buildStepPlanLocked(key, name string, loops []*core.Loop) (*stepPlan, error) {
 	// Validate every loop before mutating any ownership state.
 	for _, l := range loops {
 		if err := validateDistLoop(l); err != nil {
@@ -169,9 +241,8 @@ func (e *Engine) stepPlanLocked(name string, loops []*core.Loop) (*stepPlan, err
 		}
 	}
 	// Sharding pre-pass over the whole step: a dat any member writes
-	// must be in owned+halo storage before any member's locator tables
-	// are built, or an earlier loop's plan would read the (soon stale)
-	// replicated array.
+	// must be on its local mesh before any member's plan is built, or an
+	// earlier loop's plan would read the (soon stale) replicated array.
 	for _, l := range loops {
 		if err := e.prepareLoopLocked(l); err != nil {
 			return nil, err
@@ -190,50 +261,23 @@ func (e *Engine) stepPlanLocked(name string, loops []*core.Loop) (*stepPlan, err
 	return sp, nil
 }
 
-// observesOwned reports whether lp accesses sd's owned values other than
-// through buffered increments: directly (any access) or as an indirect
-// read (which snapshots them into halos). Such an access must see every
-// earlier increment applied.
-func observesOwned(lp *loopPlan, dats map[*shardedDat]bool) bool {
-	for i := range lp.args {
-		ap := &lp.args[i]
-		switch ap.kind {
-		case argDirect, argIndirect:
-			if dats[ap.sd] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // writesDat reports whether lp invalidates sd's exchanged halo values:
-// a direct write/RW of the dat or a buffered increment (applied by the
-// owner before the next exchange).
+// a direct write/RW of the dat or an increment.
 func writesDat(lp *loopPlan, sd *shardedDat) bool {
 	for i := range lp.args {
-		ap := &lp.args[i]
-		if ap.sd != sd {
-			continue
-		}
-		switch ap.kind {
-		case argInc:
+		if ap := &lp.args[i]; ap.sd == sd && ap.acc != core.Read {
 			return true
-		case argDirect:
-			if lp.l.Args[i].Acc() != core.Read {
-				return true
-			}
 		}
 	}
 	return false
 }
 
 // buildStepLocked derives the step's cross-loop schedules from the
-// per-loop plans: coalescing groups for the read exchanges and the due
-// points of deferred increment applies.
+// per-loop plans: coalescing groups for the read exchanges and their
+// hoisted post points.
 func (e *Engine) buildStepLocked(key, name string, lps []*loopPlan) *stepPlan {
 	n := len(lps)
-	sp := &stepPlan{key: key, name: name, loops: lps, incDue: make([]int, n)}
+	sp := &stepPlan{key: key, name: name, loops: lps}
 	seenRepl := map[*core.Dat]bool{}
 	seenRead := map[*core.Global]bool{}
 	seenRed := map[*core.Global]bool{}
@@ -287,26 +331,6 @@ func (e *Engine) buildStepLocked(key, name string, lps []*loopPlan) *stepPlan {
 		}
 	}
 
-	// Deferred-apply due points.
-	for o, lp := range lps {
-		sp.incDue[o] = n
-		if len(lp.incArgs) == 0 {
-			continue
-		}
-		incd := map[*shardedDat]bool{}
-		for _, ia := range lp.incArgs {
-			incd[lp.args[ia].sd] = true
-		}
-		for j := o + 1; j < n; j++ {
-			// The same plan's increment buffers are cleared when it runs
-			// again, so an earlier occurrence's apply must resolve first.
-			if lps[j] == lp || observesOwned(lps[j], incd) {
-				sp.incDue[o] = j
-				break
-			}
-		}
-	}
-
 	sp.ranks = make([]*stepRank, e.ranks)
 	for r := range sp.ranks {
 		sp.ranks[r] = &stepRank{
@@ -338,18 +362,57 @@ func (e *Engine) buildStepLocked(key, name string, lps []*loopPlan) *stepPlan {
 		}
 	}
 	sp.buildHoists(ledDats)
+	e.prefillLocked(sp)
 	return sp
+}
+
+// prefillLocked stocks the pools of the hosted ranks with every message
+// shape the step moves — its halo messages (frame tag included) and, in
+// SPMD mode, the reduction partials gathered from the peers — once per
+// shape, inFlightPerPair deep.
+func (e *Engine) prefillLocked(sp *stepPlan) {
+	shapes := map[[4]int]bool{} // src, dst, floats, ctl (0/1)
+	for r, w := range e.workers {
+		if w == nil {
+			continue
+		}
+		for _, sched := range sp.ranks[r].readPost {
+			for peer := 0; sched != nil && peer < e.ranks; peer++ {
+				if n := sched.sendLen[peer]; n > 0 {
+					shapes[[4]int{r, peer, n + 1, 0}] = true
+				}
+				if n := sched.recvLen[peer]; n > 0 {
+					shapes[[4]int{peer, r, n + 1, 0}] = true
+				}
+			}
+		}
+		for _, lp := range sp.loops {
+			for peer := 0; e.local >= 0 && peer < e.ranks; peer++ {
+				if peer == r {
+					continue
+				}
+				if n := lp.partialLen(peer); n > 0 {
+					shapes[[4]int{peer, r, n, 1}] = true
+				}
+				if n := lp.partialLen(r); n > 0 {
+					shapes[[4]int{r, peer, n, 1}] = true
+				}
+			}
+		}
+	}
+	for s := range shapes {
+		e.stockLocked(s[0], s[2], inFlightPerPair, s[3] == 1)
+	}
 }
 
 // buildHoists computes each leader's exchange post point: the earliest
 // occurrence by which every dat of its union schedule holds final owned
-// values on every rank. A direct writer's values are final once its
-// occurrence has executed (j+1); an increment writer's once its deferred
-// apply has resolved, which the worker guarantees by the start of
-// occurrence incDue[j]. The post point is the max over the union's dats
-// — the whole coalesced message moves together, so the message count
-// (and the per-pair FIFO order, which every rank derives from this same
-// plan) is unchanged; only the overlap window grows.
+// values on every rank — right after its last earlier writer (direct or
+// increment: every owned increment lands during the writer's own
+// occurrence) has executed. The post point is the max over the union's
+// dats — the whole coalesced message moves together, so the message
+// count (and the per-pair FIFO order, which every rank derives from this
+// same plan) is unchanged; only the overlap window grows.
 func (sp *stepPlan) buildHoists(ledDats [][]*shardedDat) {
 	n := len(sp.loops)
 	sp.hoistAt = make([]int, n)
@@ -363,23 +426,9 @@ func (sp *stepPlan) buildHoists(ledDats [][]*shardedDat) {
 		}
 		h := 0
 		for _, sd := range dats {
-			for j := 0; j < L; j++ {
-				lp := sp.loops[j]
-				for i := range lp.args {
-					ap := &lp.args[i]
-					if ap.sd != sd {
-						continue
-					}
-					switch ap.kind {
-					case argInc:
-						if sp.incDue[j] > h {
-							h = sp.incDue[j]
-						}
-					case argDirect:
-						if lp.l.Args[i].Acc() != core.Read && j+1 > h {
-							h = j + 1
-						}
-					}
+			for j := h; j < L; j++ {
+				if writesDat(sp.loops[j], sd) {
+					h = j + 1
 				}
 			}
 		}
@@ -394,12 +443,12 @@ func (sp *stepPlan) buildHoists(ledDats [][]*shardedDat) {
 // occurrences for one dat on one rank.
 func unionHaloIDs(lps []*loopPlan, occs []int, r int, sd *shardedDat) []int32 {
 	if len(occs) == 1 {
-		return loopHaloIDs(lps[occs[0]], r, sd)
+		return lps[occs[0]].ranks[r].halo[sd]
 	}
 	need := map[int32]bool{}
 	var ids []int32
 	for _, o := range occs {
-		for _, id := range loopHaloIDs(lps[o], r, sd) {
+		for _, id := range lps[o].ranks[r].halo[sd] {
 			if !need[id] {
 				need[id] = true
 				ids = append(ids, id)

@@ -12,7 +12,7 @@ import (
 
 // task is one step posted to a rank worker: a pointer into the owning
 // submission's per-rank task array. The worker reads the step plan,
-// kernel snapshot and gate from the submission and reports completion
+// bound bodies and gate from the submission and reports completion
 // through its rank's done slot — all pooled, recycled by the
 // submission's driver once every rank has resolved.
 type task struct {
@@ -20,26 +20,11 @@ type task struct {
 	rank int
 }
 
-// pendingApply is a deferred increment application: occurrence o's
-// exchange futures stay in flight while later occurrences that do not
-// observe the incremented dats execute; the apply resolves at the start
-// of occurrence due (or at step end). Pending applies resolve in
-// submission order, which preserves the serial interleaving of applies
-// to a shared dat. The futures live in the worker's per-occurrence
-// scratch slots (w.incFuts[o]); only the metadata travels here.
-type pendingApply struct {
-	due int
-	o   int
-	lp  *loopPlan
-	err error // the occurrence's error: drain the futures, skip the apply
-}
-
 // worker is one persistent rank: a long-lived goroutine draining a
 // mailbox of step tasks in submission order. There is no fork/join per
 // step — a rank that finished step N moves straight on to step N+1. All
-// per-step execution scratch (argument views live on the rank plans;
-// everything occurrence-indexed lives here) is reused across steps, so
-// steady-state timesteps allocate neither scratch nor message buffers.
+// per-step execution scratch is reused across steps, so steady-state
+// timesteps allocate neither scratch nor message buffers.
 type worker struct {
 	rank int
 	eng  *Engine
@@ -49,15 +34,11 @@ type worker struct {
 	// holds the read-halo receive futures the exchange posted at slot o
 	// consumes at occurrence o (for a hoisted exchange the posting
 	// happens earlier than o, which is exactly why the futures are
-	// slot-indexed rather than local to execOcc); incFuts[o] holds
-	// occurrence o's increment receives until its deferred apply.
+	// slot-indexed rather than local to execOcc).
 	readFuts [][]RecvFuture
 	readSrcs [][]int
 	readSeqs [][]uint64
 	readErr  []error
-	incFuts  [][]RecvFuture
-	incSrcs  [][]int
-	incSeqs  [][]uint64
 
 	// Frame-sequence counters, one per peer rank. Every message this
 	// rank sends to dst carries tag ++sendSeq[dst] as its first float;
@@ -65,15 +46,17 @@ type worker struct {
 	// Per-pair FIFO delivery makes the tags line up, so a duplicated,
 	// truncated or reordered message is detected as ErrHaloCorrupt at
 	// consume time instead of silently corrupting halo slots. The
-	// expected tag is recorded at Recv-post time (readSeqs/incSeqs):
-	// consume order differs from post order when increment applies are
-	// deferred past later loops' read exchanges.
+	// expected tag is recorded at Recv-post time (readSeqs): a hoisted
+	// exchange is consumed later than it was posted.
 	sendSeq []uint64
 	recvSeq []uint64
 
-	pending []pendingApply
-	ws      []hpx.Waiter
-	incMsgs [][]float64
+	ws []hpx.Waiter
+
+	// discard is the reduction scratch of exec-halo elements: they run
+	// redundantly for the increments they owe owned elements, and their
+	// contributions to globals belong to their owners.
+	discard []float64
 }
 
 func (w *worker) run() {
@@ -103,20 +86,16 @@ func (w *worker) growOcc(n int) {
 		w.readSrcs = append(w.readSrcs, nil)
 		w.readSeqs = append(w.readSeqs, nil)
 		w.readErr = append(w.readErr, nil)
-		w.incFuts = append(w.incFuts, nil)
-		w.incSrcs = append(w.incSrcs, nil)
-		w.incSeqs = append(w.incSeqs, nil)
 	}
 }
 
 // execStep runs one step on this rank: its occurrences in order, with
-// pending increment applies resolved at their due points and hoisted
-// read-halo exchanges posted as soon as their producing occurrences have
-// completed (sp.hoisted). The message protocol (sends and receives)
-// always runs to completion — even when computation is skipped because
-// of cancellation, a kernel panic or an upstream failure — so every
-// pair's FIFO channel stays aligned for the steps that follow; skipped
-// computation just exports zero contributions.
+// hoisted read-halo exchanges posted as soon as their producing
+// occurrences have completed (sp.hoisted). The message protocol (sends
+// and receives) always runs to completion — even when computation is
+// skipped because of cancellation, a kernel panic or an upstream failure
+// — so every pair's FIFO channel stays aligned for the steps that
+// follow.
 func (w *worker) execStep(t *task) ([][]float64, error) {
 	sp := t.sub.sp
 	sr := sp.ranks[w.rank]
@@ -145,28 +124,10 @@ func (w *worker) execStep(t *task) ([][]float64, error) {
 		// its own errors.
 	}
 
-	pending := w.pending[:0]
 	for o := 0; o < nOcc; o++ {
-		// Resolve every pending apply due at or before this occurrence.
-		// Dues are monotonic only per dat, so a later-queued apply can
-		// come due before the queue head (different dats); resolve the
-		// whole prefix up to the last due entry, in submission order —
-		// resolving an apply earlier than its due is always safe, it
-		// only shrinks that exchange's overlap window.
-		cut := 0
-		for i := range pending {
-			if pending[i].due <= o {
-				cut = i + 1
-			}
-		}
-		for i := 0; i < cut; i++ {
-			fail(w.resolveApply(t, &pending[i]))
-		}
-		pending = pending[:copy(pending, pending[cut:])]
 		// Post the hoisted read-halo exchanges of later leaders whose
-		// producing occurrences (direct writers executed, increment
-		// applies resolved) are now complete: the messages travel while
-		// the occurrences in between compute.
+		// producing occurrences are now complete: the messages travel
+		// while the occurrences in between compute.
 		for _, L := range sp.hoisted[o] {
 			if sched := sr.readPost[L]; sched != nil {
 				var phStart time.Time
@@ -179,32 +140,18 @@ func (w *worker) execStep(t *task) ([][]float64, error) {
 				}
 			}
 		}
-		occErr := w.execOcc(t, o, gateErr, &redBufs[o], &pending)
-		fail(occErr)
+		fail(w.execOcc(t, o, gateErr, &redBufs[o]))
 	}
-	for i := range pending {
-		fail(w.resolveApply(t, &pending[i]))
-	}
-	w.pending = pending[:0]
 	return redBufs, firstErr
 }
 
-// postRead posts one read-halo exchange on this rank: grow the halo
-// storage the scatter will need, pack and send the owned values per
-// destination from pooled message buffers, and post the receive futures
-// into the slot's scratch. Errors latch into w.readErr[slot] and surface
-// when the consuming occurrence waits.
+// postRead posts one read-halo exchange on this rank: pack and send the
+// owned values per destination from pooled message buffers, and post the
+// receive futures into the slot's scratch. Errors latch into
+// w.readErr[slot] and surface when the consuming occurrence waits.
 func (w *worker) postRead(t *task, lp *loopPlan, sched *readSchedule, slot int, hoisted bool) {
 	eng, r := w.eng, w.rank
 	w.readErr[slot] = nil
-	for _, hn := range sched.need {
-		dim := hn.sd.d.Dim()
-		if want := hn.slots * dim; len(hn.sd.halo[r]) < want {
-			grown := make([]float64, want)
-			copy(grown, hn.sd.halo[r])
-			hn.sd.halo[r] = grown
-		}
-	}
 	for dst := 0; dst < eng.ranks; dst++ {
 		if sched.sendLen[dst] == 0 {
 			continue
@@ -214,7 +161,7 @@ func (w *worker) postRead(t *task, lp *loopPlan, sched *readSchedule, slot int, 
 		msg = append(msg, float64(w.sendSeq[dst]))
 		for _, pt := range sched.sendTo[dst] {
 			dim := pt.sd.d.Dim()
-			own := pt.sd.owned[r]
+			own := pt.sd.local[r]
 			for _, l := range pt.locals {
 				msg = append(msg, own[int(l)*dim:(int(l)+1)*dim]...)
 			}
@@ -241,13 +188,16 @@ func (w *worker) postRead(t *task, lp *loopPlan, sched *readSchedule, slot int, 
 	}
 }
 
-// execOcc runs one loop occurrence of the step on this rank.
-func (w *worker) execOcc(t *task, o int, occErr error, redOut *[]float64, pending *[]pendingApply) (err error) {
+// execOcc runs one loop occurrence of the step on this rank: the bound
+// body over the early runs while the read-halo messages are in flight,
+// then over the late runs once they have been scattered.
+func (w *worker) execOcc(t *task, o int, occErr error, redOut *[]float64) (err error) {
 	sub, r, eng := t.sub, w.rank, w.eng
 	sp := sub.sp
 	lp := sp.loops[o]
 	rp := lp.ranks[r]
 	sr := sp.ranks[r]
+	body := sub.bodies[o][r]
 	err = occErr
 	fail := func(e error) {
 		if err == nil && e != nil {
@@ -255,17 +205,15 @@ func (w *worker) execOcc(t *task, o int, occErr error, redOut *[]float64, pendin
 		}
 	}
 
-	// Storage upkeep: clear the increment buffers, lay out the
-	// per-occurrence reduction scratch.
-	for _, b := range rp.incBuf {
-		clear(b)
-	}
+	// Storage upkeep: lay out the per-occurrence reduction scratch
+	// (elementwise: one slot per owned element), refresh the gathered
+	// replicated dats, and clear the halo slots increments will land in.
 	size := lp.gbl.size
 	var redBuf []float64
 	if size > 0 {
 		want := size
 		if lp.needElementwise {
-			want = len(rp.elems) * size
+			want = rp.nowned * size
 		}
 		if len(sr.redBuf[o]) < want {
 			sr.redBuf[o] = make([]float64, want)
@@ -274,18 +222,17 @@ func (w *worker) execOcc(t *task, o int, occErr error, redOut *[]float64, pendin
 		for i := 0; i < want; i += size {
 			copy(redBuf[i:i+size], lp.gbl.init)
 		}
+		if len(w.discard) < size {
+			w.discard = make([]float64, size)
+		}
 	}
 	*redOut = redBuf
-	views := rp.views
-	for ai := range lp.args {
-		ap := &lp.args[ai]
-		switch ap.kind {
-		case argGblRead:
-			views[ai] = ap.g.Data()
-		case argGblReduce:
-			if !lp.needElementwise {
-				views[ai] = redBuf[ap.off : ap.off+ap.dim]
-			}
+	if err == nil {
+		for _, g := range rp.gathers {
+			g.fill()
+		}
+		for _, sd := range lp.incSDs {
+			clear(sd.local[r][len(sd.sp.owned[r])*sd.d.Dim():])
 		}
 	}
 
@@ -307,13 +254,13 @@ func (w *worker) execOcc(t *task, o int, occErr error, redOut *[]float64, pendin
 		}
 	}
 
-	// Phase 2: interior elements execute while halo messages are in
-	// flight — the paper's overlap, applied to communication latency.
+	// Phase 2: early elements execute while halo messages are in flight
+	// — the paper's overlap, applied to communication latency.
 	if err == nil {
 		if obsOn {
 			phStart = time.Now()
 		}
-		fail(w.runChunks(t, o, redBuf, views, 0, rp.ninterior, "interior"))
+		fail(w.runRuns(t, lp, rp, body, redBuf, rp.early, "interior"))
 		if obsOn {
 			eng.observePhase(lp.name, r, phInterior, phStart)
 		}
@@ -343,9 +290,9 @@ func (w *worker) execOcc(t *task, o int, occErr error, redOut *[]float64, pendin
 						off := 1 // skip the frame tag
 						for _, pt := range sched.recvFrom[readSrcs[i]] {
 							dim := pt.sd.d.Dim()
-							halo := pt.sd.halo[r]
-							for _, s := range pt.slots {
-								copy(halo[int(s)*dim:(int(s)+1)*dim], msg[off:off+dim])
+							local := pt.sd.local[r]
+							for _, p := range pt.pos {
+								copy(local[int(p)*dim:(int(p)+1)*dim], msg[off:off+dim])
 								off += dim
 							}
 						}
@@ -360,132 +307,17 @@ func (w *worker) execOcc(t *task, o int, occErr error, redOut *[]float64, pendin
 		}
 	}
 
-	// Phase 4: boundary elements, now that their halo reads are fresh.
+	// Phase 4: late elements, now that their halo reads are fresh.
 	if err == nil {
 		if obsOn {
 			phStart = time.Now()
 		}
-		fail(w.runChunks(t, o, redBuf, views, rp.ninterior, len(rp.elems), "boundary"))
+		fail(w.runRuns(t, lp, rp, body, redBuf, rp.late, "boundary"))
 		if obsOn {
 			eng.observePhase(lp.name, r, phBoundary, phStart)
 		}
 	}
-
-	// Phase 5: export buffered increments to their owners and post the
-	// import futures — but do not wait: the apply goes pending, letting
-	// the increment exchange overlap the next occurrences' interiors
-	// when the step's DAG permits (incDue).
-	for dst := 0; dst < eng.ranks; dst++ {
-		if rp.incSendLen[dst] == 0 {
-			continue
-		}
-		msg := eng.getBuf(r, rp.incSendLen[dst]+1)
-		w.sendSeq[dst]++
-		msg = append(msg, float64(w.sendSeq[dst]))
-		for _, pt := range rp.incSendTo[dst] {
-			dim := lp.args[lp.incArgs[pt.ia]].dim
-			buf := rp.incBuf[pt.ia]
-			for _, p := range pt.pos {
-				msg = append(msg, buf[int(p)*dim:(int(p)+1)*dim]...)
-			}
-		}
-		fail(eng.tr.Send(r, dst, msg))
-	}
-	incFuts, incSrcs, incSeqs := w.incFuts[o][:0], w.incSrcs[o][:0], w.incSeqs[o][:0]
-	for src := 0; src < eng.ranks; src++ {
-		if rp.incRecvLen[src] == 0 {
-			continue
-		}
-		incFuts = append(incFuts, eng.tr.Recv(r, src))
-		incSrcs = append(incSrcs, src)
-		w.recvSeq[src]++
-		incSeqs = append(incSeqs, w.recvSeq[src])
-	}
-	w.incFuts[o], w.incSrcs[o], w.incSeqs[o] = incFuts, incSrcs, incSeqs
-	if len(incFuts) > 0 || len(rp.apply.arg) > 0 {
-		*pending = append(*pending, pendingApply{
-			due: sp.incDue[o], o: o, lp: lp, err: err,
-		})
-	}
 	return err
-}
-
-// resolveApply completes a pending increment application: wait for the
-// import futures, then fold every contribution into the owned values in
-// serial plan order — local and imported increments interleave exactly
-// as the serial backend would have applied them, which is what keeps the
-// distributed result bitwise-identical. Consumed message buffers return
-// to their senders' pools, and the receive futures to the transport's.
-func (w *worker) resolveApply(t *task, pa *pendingApply) error {
-	lp, r := pa.lp, w.rank
-	rp := lp.ranks[r]
-	var phStart time.Time
-	if w.eng.obsOn {
-		phStart = time.Now()
-		defer func() {
-			w.eng.observePhase(lp.name, r, phIncApply, phStart)
-		}()
-	}
-	err := pa.err
-	futs, srcs, seqs := w.incFuts[pa.o], w.incSrcs[pa.o], w.incSeqs[pa.o]
-	if cap(w.incMsgs) < w.eng.ranks {
-		w.incMsgs = make([][]float64, w.eng.ranks)
-	}
-	incMsgs := w.incMsgs[:w.eng.ranks]
-	clear(incMsgs)
-	received := false
-	if len(futs) > 0 {
-		if werr := w.waitFutsCtx(t.sub.ctx, futs); werr != nil {
-			if err == nil {
-				err = fmt.Errorf("dist: loop %q rank %d increment exchange: %w", lp.name, r, werr)
-			}
-		} else {
-			received = true
-			for i, f := range futs {
-				msg, _ := f.Get()
-				if ferr := w.checkFrame(lp.name, msg, rp.incRecvLen[srcs[i]], srcs[i], seqs[i]); ferr != nil && err == nil {
-					err = ferr
-				}
-				incMsgs[srcs[i]] = msg
-			}
-		}
-	}
-	recycle := func() {
-		if !received {
-			return
-		}
-		for i, f := range futs {
-			w.eng.putBuf(srcs[i], incMsgs[srcs[i]])
-			f.Release()
-		}
-	}
-	if err != nil || len(rp.apply.arg) == 0 {
-		recycle()
-		return err
-	}
-	al := &rp.apply
-	for i := range al.arg {
-		ia := int(al.arg[i])
-		arg := &lp.args[lp.incArgs[ia]]
-		dim := arg.dim
-		var c []float64
-		if int(al.src[i]) == r {
-			p := int(al.pos[i])
-			c = rp.incBuf[ia][p*dim : (p+1)*dim]
-		} else {
-			off := 1 + int(rp.incRecvOff[al.src[i]][ia]) + int(al.pos[i])*dim // +1 skips the frame tag
-			c = incMsgs[al.src[i]][off : off+dim]
-		}
-		dst := arg.sd.owned[r][int(al.target[i])*dim : (int(al.target[i])+1)*dim]
-		for k := 0; k < dim; k++ {
-			dst[k] += c[k]
-		}
-	}
-	recycle()
-	if tr := w.eng.trace; tr != nil {
-		tr(lp.name, r, "apply")
-	}
-	return nil
 }
 
 // checkFrame validates one received message's frame: the payload length
@@ -562,83 +394,57 @@ func (w *worker) waitFutsCtx(ctx context.Context, futs []RecvFuture) error {
 	return hpx.WaitAllCtx(ctx, ws...)
 }
 
-// runChunks executes occurrence o's exec positions [lo, hi) in blockSize
-// chunks, checking for cancellation between chunks and reporting each
-// executed chunk to the trace hook.
+// runRuns executes the bound body over the given runs of local
+// positions in blockSize chunks, checking for cancellation between
+// chunks and reporting each executed chunk to the trace hook.
 //
 //op2:noalloc
-func (w *worker) runChunks(t *task, o int, redBuf []float64, views [][]float64, lo, hi int, phase string) error {
+func (w *worker) runRuns(t *task, lp *loopPlan, rp *rankPlan, body core.RangeBody, redBuf []float64, runs []int32, phase string) error {
 	bs := w.eng.blockSize
-	lp := t.sub.sp.loops[o]
-	kernel := t.sub.kernels[o]
-	for clo := lo; clo < hi; clo += bs {
-		if cerr := t.sub.ctx.Err(); cerr != nil {
-			//op2:coldpath cancellation aborts the chunk walk
-			return fmt.Errorf("dist: loop %q canceled on rank %d: %w", lp.name, w.rank, cerr)
-		}
-		chi := clo + bs
-		if chi > hi {
-			chi = hi
-		}
-		if err := w.safeRange(lp, kernel, redBuf, views, clo, chi); err != nil {
-			return err
-		}
-		if tr := w.eng.trace; tr != nil {
-			tr(lp.name, w.rank, phase)
+	for i := 0; i < len(runs); i += 2 {
+		lo, hi := int(runs[i]), int(runs[i+1])
+		for clo := lo; clo < hi; clo += bs {
+			if cerr := t.sub.ctx.Err(); cerr != nil {
+				//op2:coldpath cancellation aborts the chunk walk
+				return fmt.Errorf("dist: loop %q canceled on rank %d: %w", lp.name, w.rank, cerr)
+			}
+			chi := min(clo+bs, hi)
+			if err := w.safeRange(lp, rp, body, redBuf, clo, chi); err != nil {
+				return err
+			}
+			if tr := w.eng.trace; tr != nil {
+				tr(lp.name, w.rank, phase)
+			}
 		}
 	}
 	return nil
 }
 
-// safeRange executes one chunk, converting kernel panics into errors.
+// safeRange executes one chunk, converting body panics into errors. The
+// reduction scratch follows the loop's fold protocol: an elementwise
+// (Inc) reduction calls the body once per element into the element's own
+// slot; a combinable one accumulates the range into the rank partial.
+// Exec-halo positions (at or above rp.nowned) reduce into the discard
+// buffer.
 //
 //op2:noalloc
-func (w *worker) safeRange(lp *loopPlan, kernel core.Kernel, redBuf []float64, views [][]float64, lo, hi int) (err error) {
+func (w *worker) safeRange(lp *loopPlan, rp *rankPlan, body core.RangeBody, redBuf []float64, lo, hi int) (err error) {
 	//op2:allow open-coded defer: the recovery closure is stack-allocated and fires only on a kernel panic
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("dist: loop %q kernel panicked on rank %d: %v", lp.name, w.rank, rec)
 		}
 	}()
-	w.execRange(lp, kernel, redBuf, views, lo, hi)
-	return nil
-}
-
-// execRange builds the argument views for each exec position and invokes
-// the kernel — the distributed counterpart of core's view builder, with
-// indices resolved against owned blocks, halo slots, replicated storage,
-// increment buffers and the reduction scratch.
-//
-//op2:noalloc
-func (w *worker) execRange(lp *loopPlan, kernel core.Kernel, redBuf []float64, views [][]float64, lo, hi int) {
-	r := w.rank
-	rp := lp.ranks[r]
 	size := lp.gbl.size
-	for i := lo; i < hi; i++ {
-		for ai := range lp.args {
-			ap := &lp.args[ai]
-			switch ap.kind {
-			case argDirect:
-				l := int(rp.loc[ai][i])
-				views[ai] = ap.sd.owned[r][l*ap.dim : (l+1)*ap.dim]
-			case argDirectRepl, argIndirectRepl:
-				l := int(rp.loc[ai][i])
-				views[ai] = ap.d.Data()[l*ap.dim : (l+1)*ap.dim]
-			case argIndirect:
-				if l := rp.loc[ai][i]; l >= 0 {
-					views[ai] = ap.sd.owned[r][int(l)*ap.dim : (int(l)+1)*ap.dim]
-				} else {
-					s := int(-l - 1)
-					views[ai] = ap.sd.halo[r][s*ap.dim : (s+1)*ap.dim]
-				}
-			case argInc:
-				views[ai] = rp.incBuf[ap.ia][i*ap.dim : (i+1)*ap.dim]
-			case argGblReduce:
-				if lp.needElementwise {
-					views[ai] = redBuf[i*size+ap.off : i*size+ap.off+ap.dim]
-				}
-			}
+	switch {
+	case size > 0 && lo >= rp.nowned:
+		body(lo, hi, w.discard[:size])
+	case lp.needElementwise:
+		for e := lo; e < hi; e++ {
+			body(e, e+1, redBuf[e*size:(e+1)*size])
 		}
-		kernel(views)
+	default:
+		body(lo, hi, redBuf)
 	}
+	return nil
 }

@@ -124,6 +124,9 @@ func (t *Transport) Start(ctx context.Context) error {
 		select {
 		case r := <-t.barrierCh:
 			seen[r] = true
+		case <-t.dead:
+			// A peer failed (or aborted) before every barrier frame
+			// arrived; waiting out the bootstrap window would hang.
 		case <-ctx.Done():
 			return bootErr(fmt.Errorf("net: rank %d barrier canceled: %w", t.rank, ctx.Err()))
 		case <-deadline.C:

@@ -101,14 +101,15 @@ func decodeFloats(dst []float64, raw []byte) []float64 {
 
 // framePool is the outbound wire-frame free list — the byte-buffer
 // mirror of the engine's per-rank message-buffer pools. Send draws a
-// frame, the peer's writer goroutine returns it once written; after the
-// first timestep the pool holds the union of the schedule's frame
-// shapes and steady-state traffic allocates nothing (Stats.FrameAllocs
-// is the observable the wire-path pooling guard pins).
+// frame, the peer's writer goroutine returns it once written. The
+// engine stocks the pool with the frame shapes its compiled plans send
+// (StockFrames), so steady-state traffic allocates nothing
+// (Stats.FrameAllocs is the observable the wire-path pooling guard
+// pins).
 type framePool struct {
 	mu     sync.Mutex
 	free   [][]byte
-	allocs atomic.Int64 // pool misses (frames ever allocated)
+	allocs atomic.Int64 // frames ever allocated (misses and stock)
 	gets   atomic.Int64 // frames handed out
 }
 
@@ -116,23 +117,40 @@ type framePool struct {
 // shape churn (same rationale as the engine's maxFreeBufs).
 const maxFreeFrames = 64
 
-// get returns an empty frame buffer with capacity >= n.
+// get returns an empty frame buffer with capacity >= n: the smallest
+// free one that fits, so a heartbeat or a short halo frame never takes
+// the buffer a long frame will need next.
 func (p *framePool) get(n int) []byte {
 	p.gets.Add(1)
 	p.mu.Lock()
-	for i := len(p.free) - 1; i >= 0; i-- {
-		if cap(p.free[i]) >= n {
-			b := p.free[i]
-			p.free[i] = p.free[len(p.free)-1]
-			p.free[len(p.free)-1] = nil
-			p.free = p.free[:len(p.free)-1]
-			p.mu.Unlock()
-			return b[:0]
+	best := -1
+	for i, b := range p.free {
+		if c := cap(b); c >= n && (best < 0 || c < cap(p.free[best])) {
+			best = i
 		}
+	}
+	if best >= 0 {
+		b := p.free[best]
+		last := len(p.free) - 1
+		p.free[best] = p.free[last]
+		p.free[last] = nil
+		p.free = p.free[:last]
+		p.mu.Unlock()
+		return b[:0]
 	}
 	p.mu.Unlock()
 	p.allocs.Add(1)
 	return make([]byte, 0, n)
+}
+
+// stock adds k frames of capacity n to the free list (up to its bound).
+func (p *framePool) stock(n, k int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := 0; i < k && len(p.free) < maxFreeFrames; i++ {
+		p.allocs.Add(1)
+		p.free = append(p.free, make([]byte, 0, n))
+	}
 }
 
 // put returns a written frame to the free list.

@@ -84,7 +84,7 @@ type Stats struct {
 	FramesRecv      int64
 	Reconnects      int64 // bootstrap dial retries (the only reconnects that exist)
 	HeartbeatMisses int64 // prober ticks that found a peer past one silent interval
-	FrameAllocs     int64 // wire-frame pool misses — flat in steady state
+	FrameAllocs     int64 // wire frames allocated (stock and misses) — flat in steady state
 	FrameGets       int64 // wire frames handed out
 }
 
@@ -170,6 +170,7 @@ type Transport struct {
 	broken  atomic.Bool
 	errMu   sync.Mutex
 	err     error
+	dead    chan struct{} // closed when the transport is poisoned
 	started atomic.Bool
 	closed  atomic.Bool
 	closeMu sync.Mutex
@@ -244,6 +245,7 @@ func New(cfg Config) (*Transport, error) {
 		peers:     make([]*peerConn, n),
 		barrierCh: make(chan int, n),
 		stopProbe: make(chan struct{}),
+		dead:      make(chan struct{}),
 	}
 	for c := 0; c < nChans; c++ {
 		t.inbox[c] = make([]pairQueue, n)
@@ -320,6 +322,9 @@ func (t *Transport) Stats() Stats {
 func (t *Transport) BindBufferPool(get func(rank, n int) []float64, put func(rank int, b []float64)) {
 	t.pool.Store(&poolHooks{get: get, put: put})
 }
+
+// StockFrames implements dist.FrameStocker.
+func (t *Transport) StockFrames(floats, n int) { t.frames.stock(headerLen+8*floats, n) }
 
 func (t *Transport) getFut() *recvFut {
 	f, _ := t.futs.Get().(*recvFut)
@@ -485,6 +490,7 @@ func (t *Transport) poison(cause error) {
 		return
 	}
 	t.err = cause
+	close(t.dead)
 	t.errMu.Unlock()
 
 	t.inboxMu.Lock()

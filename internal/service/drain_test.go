@@ -36,6 +36,20 @@ func (d *drainableInst) drained() int {
 	return d.drains
 }
 
+// beginDrain puts svc into draining before the test resolves any
+// in-flight step: a Drain whose context is already done flips the
+// service into draining and returns at once, so the scheduler cannot
+// issue one more step between the test's resolutions and the drain
+// taking effect.
+func beginDrain(t *testing.T, svc *service.Service) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := svc.Drain(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Drain with a done context = %v, want context.Canceled", err)
+	}
+}
+
 // TestDrainStopsRunningJob: a mid-run job stops issuing, its in-flight
 // steps retire, DrainCheckpoint runs exactly once before Close, and the
 // verdict is a typed, non-retried ErrDrained classified as canceled.
@@ -59,6 +73,7 @@ func TestDrainStopsRunningJob(t *testing.T) {
 		inflight = append(inflight, <-di.issueCh)
 	}
 
+	beginDrain(t, svc)
 	drainErr := make(chan error, 1)
 	go func() { drainErr <- svc.Drain(context.Background()) }()
 	// The drain waits for the in-flight steps; resolve them cleanly.
@@ -118,6 +133,7 @@ func TestDrainQueuedAndAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	beginDrain(t, svc)
 	drainErr := make(chan error, 1)
 	go func() { drainErr <- svc.Drain(ctx) }()
 	fut.resolve(nil)

@@ -27,15 +27,17 @@ func TestMaxInFlightStepsBoundsIssueDepth(t *testing.T) {
 	const n = 64
 	cells := op2.MustDeclSet(n, "cells")
 	x := op2.MustDeclDat(cells, 1, nil, "x")
-	xd := x.Data()
 
 	release := make(chan struct{}, 3)
 	lp := rt.ParLoop("blocker", cells,
 		op2.DirectArg(x, op2.RW),
-	).Body(func(lo, hi int, _ []float64) {
-		<-release
-		for i := lo; i < hi; i++ {
-			xd[i]++
+	).Body(func(b op2.Bindings) op2.RangeBody {
+		xd := b.Dat(x)
+		return func(lo, hi int, _ []float64) {
+			<-release
+			for i := lo; i < hi; i++ {
+				xd[i]++
+			}
 		}
 	})
 
@@ -66,8 +68,8 @@ func TestMaxInFlightStepsBoundsIssueDepth(t *testing.T) {
 	if err := x.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if xd[0] != 3 {
-		t.Fatalf("x[0] = %v after three increments, want 3", xd[0])
+	if got := x.Data()[0]; got != 3 {
+		t.Fatalf("x[0] = %v after three increments, want 3", got)
 	}
 }
 

@@ -97,7 +97,7 @@ func TestAsyncCancellationWhileWaitingOnDependencies(t *testing.T) {
 
 	release := make(chan struct{})
 	producer := rt.ParLoop("producer", cells, op2.DirectArg(d, op2.Write)).
-		Body(func(lo, hi int, _ []float64) { <-release })
+		Body(func(op2.Bindings) op2.RangeBody { return func(lo, hi int, _ []float64) { <-release } })
 	consumerRan := false
 	consumer := rt.ParLoop("consumer", cells, op2.DirectArg(d, op2.RW)).
 		Kernel(func(v [][]float64) { consumerRan = true })
@@ -212,10 +212,13 @@ func TestCanceledLoopFutureWaitsForPredecessors(t *testing.T) {
 
 	release := make(chan struct{})
 	producer := rt.ParLoop("producer", cells, op2.DirectArg(d, op2.Write)).
-		Body(func(lo, hi int, _ []float64) {
-			<-release
-			for i := lo; i < hi; i++ {
-				d.Data()[i] = 1
+		Body(func(b op2.Bindings) op2.RangeBody {
+			dd := b.Dat(d)
+			return func(lo, hi int, _ []float64) {
+				<-release
+				for i := lo; i < hi; i++ {
+					dd[i] = 1
+				}
 			}
 		})
 	victim := rt.ParLoop("victim", cells, op2.DirectArg(d, op2.Write)).
@@ -272,10 +275,13 @@ func TestAsyncCancelMidChainDrainsBeforeResolving(t *testing.T) {
 
 	release := make(chan struct{})
 	producer := rt.ParLoop("producer", cells, op2.DirectArg(d, op2.Write)).
-		Body(func(lo, hi int, _ []float64) {
-			<-release
-			for i := lo; i < hi; i++ {
-				d.Data()[i] = 1
+		Body(func(b op2.Bindings) op2.RangeBody {
+			dd := b.Dat(d)
+			return func(lo, hi int, _ []float64) {
+				<-release
+				for i := lo; i < hi; i++ {
+					dd[i] = 1
+				}
 			}
 		})
 	victim := rt.ParLoop("victim", cells, op2.DirectArg(d, op2.Write)).

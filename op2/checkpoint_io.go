@@ -23,6 +23,7 @@ package op2
 //	[8]  CRC-64/ECMA of everything above
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -55,10 +56,13 @@ var ckptTable = crc64.MakeTable(crc64.ECMA)
 
 // WriteTo encodes the checkpoint (versioned, checksummed); it
 // implements io.WriterTo. Sections are written in sorted name order so
-// identical state always produces identical bytes.
+// identical state always produces identical bytes. The encoding goes
+// through one buffered writer, so a save costs a handful of Write calls
+// on w rather than one per value.
 func (cp *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 	h := crc64.New(ckptTable)
-	cw := &countWriter{w: io.MultiWriter(w, h)}
+	bw := bufio.NewWriterSize(w, 64<<10)
+	cw := &countWriter{w: io.MultiWriter(bw, h)}
 
 	write := func(b []byte) {
 		if cw.err == nil {
@@ -67,6 +71,7 @@ func (cp *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 	}
 	var u4 [4]byte
 	var u8 [8]byte
+	var batch [4096]byte
 	putU32 := func(v uint32) { binary.LittleEndian.PutUint32(u4[:], v); write(u4[:]) }
 	putU64 := func(v uint64) { binary.LittleEndian.PutUint64(u8[:], v); write(u8[:]) }
 
@@ -86,8 +91,15 @@ func (cp *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 			write([]byte(name))
 			vals := m[name]
 			putU64(uint64(len(vals)))
-			for _, v := range vals {
-				putU64(math.Float64bits(v))
+			// Values go out in batches, one Write (and one checksum
+			// update) per batch.
+			for len(vals) > 0 {
+				k := min(len(vals), len(batch)/8)
+				for i, v := range vals[:k] {
+					binary.LittleEndian.PutUint64(batch[8*i:], math.Float64bits(v))
+				}
+				write(batch[:8*k])
+				vals = vals[k:]
 			}
 		}
 	}
@@ -96,6 +108,9 @@ func (cp *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 
 	sum := h.Sum64()
 	binary.LittleEndian.PutUint64(u8[:], sum)
+	if cw.err == nil {
+		cw.err = bw.Flush()
+	}
 	if cw.err == nil {
 		cw.w = w // the trailer is not part of its own checksum
 		write(u8[:])
@@ -126,14 +141,17 @@ func corruptf(format string, args ...any) error {
 }
 
 // ReadCheckpoint decodes a checkpoint written by WriteTo, verifying the
-// magic, version, every length field and the trailing checksum. Any
-// violation is ErrCheckpointCorrupt.
+// magic, version, every length field, the canonical (ascending, unique)
+// name order, the trailing checksum and that nothing follows it. Any
+// violation is ErrCheckpointCorrupt, so every accepted input re-encodes
+// to exactly its own bytes.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	h := crc64.New(ckptTable)
 	tr := io.TeeReader(r, h)
 
 	var u4 [4]byte
 	var u8 [8]byte
+	var batch [4096]byte
 	readU32 := func() (uint32, error) {
 		_, err := io.ReadFull(tr, u4[:])
 		return binary.LittleEndian.Uint32(u4[:]), err
@@ -170,7 +188,8 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		if count > ckptMaxSection {
 			return nil, corruptf("implausible %s count %d", kind, count)
 		}
-		m := make(map[string][]float64, count)
+		m := make(map[string][]float64, min(count, 1024))
+		prev := ""
 		for i := uint32(0); i < count; i++ {
 			nameLen, err := readU32()
 			if err != nil {
@@ -183,9 +202,10 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 			if _, err := io.ReadFull(tr, name); err != nil {
 				return nil, corruptf("short read in %s name: %v", kind, err)
 			}
-			if _, dup := m[string(name)]; dup {
-				return nil, corruptf("%s %q appears twice", kind, name)
+			if i > 0 && string(name) <= prev {
+				return nil, corruptf("%s %q out of order after %q (duplicate or unsorted)", kind, name, prev)
 			}
+			prev = string(name)
 			n, err := readU64()
 			if err != nil {
 				return nil, corruptf("short read at %s %q length: %v", kind, name, err)
@@ -193,13 +213,19 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 			if n > ckptMaxSection {
 				return nil, corruptf("implausible %s %q length %d", kind, name, n)
 			}
-			vals := make([]float64, n)
-			for k := range vals {
-				bits, err := readU64()
-				if err != nil {
-					return nil, corruptf("truncated inside %s %q (%d of %d values): %v", kind, name, k, n, err)
+			// Values are read in batches and the slice grows only with
+			// data actually present, so a corrupt length cannot drive a
+			// large allocation before the short read catches it.
+			vals := make([]float64, 0, min(n, uint64(len(batch)/8)))
+			for rem := n; rem > 0; {
+				k := min(rem, uint64(len(batch)/8))
+				if _, err := io.ReadFull(tr, batch[:8*k]); err != nil {
+					return nil, corruptf("truncated inside %s %q (%d of %d values): %v", kind, name, len(vals), n, err)
 				}
-				vals[k] = math.Float64frombits(bits)
+				for i := uint64(0); i < k; i++ {
+					vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(batch[8*i:])))
+				}
+				rem -= k
 			}
 			m[string(name)] = vals
 		}
@@ -222,6 +248,9 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	}
 	if got := binary.LittleEndian.Uint64(trailer[:]); got != want {
 		return nil, corruptf("checksum mismatch: file says %016x, content hashes to %016x", got, want)
+	}
+	if _, err := io.ReadFull(r, trailer[:1]); err != io.EOF {
+		return nil, corruptf("trailing data after the checksum")
 	}
 	return &Checkpoint{Step: int(step), dats: dats, gbls: gbls}, nil
 }
@@ -301,7 +330,7 @@ func (s *DirCheckpoints) Load(job string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("op2: checkpoint load %q: %w", job, err)
 	}
 	defer f.Close() //nolint:errcheck // read-only
-	cp, err := ReadCheckpoint(f)
+	cp, err := ReadCheckpoint(bufio.NewReaderSize(f, 64<<10))
 	if err != nil {
 		return nil, fmt.Errorf("op2: checkpoint load %q: %w", job, err)
 	}

@@ -2,6 +2,7 @@ package op2_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,7 +12,7 @@ import (
 )
 
 // encodeCkpt renders a checkpoint to bytes, failing the test on error.
-func encodeCkpt(t *testing.T, cp *op2.Checkpoint) []byte {
+func encodeCkpt(t testing.TB, cp *op2.Checkpoint) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	n, err := cp.WriteTo(&buf)
@@ -25,7 +26,7 @@ func encodeCkpt(t *testing.T, cp *op2.Checkpoint) []byte {
 }
 
 // decayCkpt runs the decay program cut steps and snapshots it.
-func decayCkpt(t *testing.T, cut int) *op2.Checkpoint {
+func decayCkpt(t testing.TB, cut int) *op2.Checkpoint {
 	t.Helper()
 	rt := op2.MustNew()
 	defer rt.Close()
@@ -206,4 +207,86 @@ func TestDirCheckpointsStore(t *testing.T) {
 	if !errors.Is(err, op2.ErrCheckpointCorrupt) {
 		t.Fatalf("Submit over a corrupt checkpoint = %v, want ErrCheckpointCorrupt", err)
 	}
+}
+
+// goldenCkptV1 is the format-1 encoding of goldenCkpt's state: step 7,
+// dat "q" = [1.5, -2], global "g" = [0.25], CRC-64/ECMA trailer.
+const goldenCkptV1 = "4f5032434b50540a" + // magic "OP2CKPT\n"
+	"01000000" + // version 1
+	"0700000000000000" + // step 7
+	"01000000" + "01000000" + "71" + "0200000000000000" + // 1 dat: "q", 2 values
+	"000000000000f83f" + "00000000000000c0" + // 1.5, -2
+	"01000000" + "01000000" + "67" + "0100000000000000" + // 1 global: "g", 1 value
+	"000000000000d03f" + // 0.25
+	"0e6376c176b32b6c" // checksum
+
+// goldenCkpt checkpoints a two-cell dat and a global at step 7.
+func goldenCkpt(t testing.TB) *op2.Checkpoint {
+	t.Helper()
+	rt := op2.MustNew(op2.WithBackend(op2.Serial))
+	defer rt.Close()
+	cells := op2.MustDeclSet(2, "cells")
+	q := op2.MustDeclDat(cells, 1, []float64{1.5, -2}, "q")
+	g := op2.MustDeclGlobal(1, []float64{0.25}, "g")
+	rt.ParLoop("touch", cells, op2.DirectArg(q, op2.Read), op2.GblArg(g, op2.Read)).Kernel(func([][]float64) {})
+	cp, err := rt.Checkpoint(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
+// TestCheckpointEncodingGolden pins the on-disk bytes of format version
+// 1: the buffered encoder must produce exactly what every earlier build
+// wrote, and the decoder must accept it back.
+func TestCheckpointEncodingGolden(t *testing.T) {
+	raw := encodeCkpt(t, goldenCkpt(t))
+	if got := hex.EncodeToString(raw); got != goldenCkptV1 {
+		t.Fatalf("format-1 encoding changed:\n got %s\nwant %s", got, goldenCkptV1)
+	}
+	cp, err := op2.ReadCheckpoint(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("golden bytes rejected: %v", err)
+	}
+	if cp.Step != 7 {
+		t.Fatalf("golden step = %d, want 7", cp.Step)
+	}
+}
+
+// FuzzReadCheckpoint feeds the decoder arbitrary bytes, seeded with a
+// valid file and the truncation and bit-flip damage of
+// TestCheckpointLoaderRejectsDamage. The decoder must never panic, must
+// refuse anything it does not accept with ErrCheckpointCorrupt, and
+// every input it accepts must re-encode to exactly its own bytes.
+func FuzzReadCheckpoint(f *testing.F) {
+	for _, raw := range [][]byte{encodeCkpt(f, goldenCkpt(f)), encodeCkpt(f, decayCkpt(f, 3))} {
+		f.Add(raw)
+		for _, cut := range []int{0, 7, 8, 12, 20, 24, len(raw) / 2, len(raw) - 1} {
+			f.Add(raw[:cut])
+		}
+		for _, i := range []int{0, 8, 20, len(raw) / 2, len(raw) - 1} {
+			b := append([]byte(nil), raw...)
+			b[i] ^= 0x40
+			f.Add(b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		cp, err := op2.ReadCheckpoint(bytes.NewReader(in))
+		if err != nil {
+			if !errors.Is(err, op2.ErrCheckpointCorrupt) {
+				t.Fatalf("untyped rejection: %v", err)
+			}
+			if cp != nil {
+				t.Fatal("loader returned a checkpoint alongside the error")
+			}
+			return
+		}
+		var out bytes.Buffer
+		if _, err := cp.WriteTo(&out); err != nil {
+			t.Fatalf("re-encoding an accepted checkpoint: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), in) {
+			t.Fatalf("accepted input does not re-encode to itself:\n  in %x\n out %x", in, out.Bytes())
+		}
+	})
 }

@@ -13,7 +13,7 @@ import (
 // update of a cell field that also accumulates a running residual into a
 // global, so a checkpoint must capture both a dat and a reduction — and
 // returns a step function plus a bit-pattern reader.
-func newDecay(t *testing.T, rt *op2.Runtime) (step func() error, bits func() (uint64, []uint64)) {
+func newDecay(t testing.TB, rt *op2.Runtime) (step func() error, bits func() (uint64, []uint64)) {
 	t.Helper()
 	const n = 96
 	vals := make([]float64, n)

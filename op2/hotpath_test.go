@@ -40,13 +40,15 @@ func TestSteadyStateDirectLoopZeroAlloc(t *testing.T) {
 			cells := op2.MustDeclSet(n, "cells")
 			x := op2.MustDeclDat(cells, 1, nil, "x")
 			y := op2.MustDeclDat(cells, 1, nil, "y")
-			xd, yd := x.Data(), y.Data()
 			lp := rt.ParLoop("saxpy", cells,
 				op2.DirectArg(x, op2.Read),
 				op2.DirectArg(y, op2.RW),
-			).Body(func(lo, hi int, _ []float64) {
-				for i := lo; i < hi; i++ {
-					yd[i] += 2 * xd[i]
+			).Body(func(b op2.Bindings) op2.RangeBody {
+				xd, yd := b.Dat(x), b.Dat(y)
+				return func(lo, hi int, _ []float64) {
+					for i := lo; i < hi; i++ {
+						yd[i] += 2 * xd[i]
+					}
 				}
 			})
 			ctx := context.Background()
@@ -79,13 +81,15 @@ func TestSteadyStateReductionLoopZeroAlloc(t *testing.T) {
 			cells := op2.MustDeclSet(n, "cells")
 			x := op2.MustDeclDat(cells, 1, nil, "x")
 			sum := op2.MustDeclGlobal(1, nil, "sum")
-			xd := x.Data()
 			lp := rt.ParLoop("sum", cells,
 				op2.DirectArg(x, op2.Read),
 				op2.GblArg(sum, op2.Inc),
-			).Body(func(lo, hi int, scratch []float64) {
-				for i := lo; i < hi; i++ {
-					scratch[0] += xd[i]
+			).Body(func(b op2.Bindings) op2.RangeBody {
+				xd := b.Dat(x)
+				return func(lo, hi int, scratch []float64) {
+					for i := lo; i < hi; i++ {
+						scratch[0] += xd[i]
+					}
 				}
 			})
 			ctx := context.Background()
@@ -164,13 +168,15 @@ func TestSteadyStateAsyncLoopZeroAlloc(t *testing.T) {
 			cells := op2.MustDeclSet(n, "cells")
 			x := op2.MustDeclDat(cells, 1, nil, "x")
 			y := op2.MustDeclDat(cells, 1, nil, "y")
-			xd, yd := x.Data(), y.Data()
 			lp := rt.ParLoop("saxpy", cells,
 				op2.DirectArg(x, op2.Read),
 				op2.DirectArg(y, op2.RW),
-			).Body(func(lo, hi int, _ []float64) {
-				for i := lo; i < hi; i++ {
-					yd[i] += 2 * xd[i]
+			).Body(func(b op2.Bindings) op2.RangeBody {
+				xd, yd := b.Dat(x), b.Dat(y)
+				return func(lo, hi int, _ []float64) {
+					for i := lo; i < hi; i++ {
+						yd[i] += 2 * xd[i]
+					}
 				}
 			})
 			ctx := context.Background()

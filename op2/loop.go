@@ -25,6 +25,16 @@ type Kernel = core.Kernel
 // touch data exactly as the loop's args declare.
 type RangeBody = core.RangeBody
 
+// Bindings resolves a loop's declared dats and maps to the storage one
+// execution context runs on: the host arrays on a shared-memory runtime,
+// one rank's localized arrays and map tables on a distributed one.
+type Bindings = core.Bindings
+
+// BodyFactory builds a loop's RangeBody over bound storage. The runtime
+// calls it once per execution context, so the body must index only the
+// slices it obtained from the Bindings, never a dat's Data() directly.
+type BodyFactory = core.BodyFactory
+
 // DatArg builds a dat argument (op_arg_dat): with m == nil the loop
 // accesses element e of the dat directly (pass IDIdx as idx); with a map,
 // it accesses dat element m[e][idx].
@@ -38,8 +48,8 @@ func DirectArg(d *Dat, acc Access) Arg { return core.ArgDat(d, core.IDIdx, nil, 
 func GblArg(g *Global, acc Access) Arg { return core.ArgGbl(g, acc) }
 
 // Loop is a declared parallel loop (op_par_loop) bound to its runtime.
-// Build it with Runtime.ParLoop, attach a Kernel (and optionally a
-// specialized Body), then invoke it any number of times with Run or
+// Build it with Runtime.ParLoop, attach a Kernel or a specialized Body
+// (or both), then invoke it any number of times with Run or
 // Async — execution plans are cached across invocations. The builder
 // calls (Kernel, Body) are not safe for concurrent use; invocation is,
 // within the backend's concurrency contract.
@@ -68,10 +78,13 @@ func (lp *Loop) Kernel(k Kernel) *Loop {
 	return lp
 }
 
-// Body attaches a specialized range body (the translator-generated shape);
-// when both are set, Body takes precedence.
-func (lp *Loop) Body(b RangeBody) *Loop {
-	lp.l.Body = b
+// Body attaches a specialized body factory (the translator-generated
+// shape); when both are set, Body takes precedence. The factory is bound
+// once per execution context — to host storage, or to each rank's local
+// mesh on a distributed runtime — so one Body serves every backend.
+func (lp *Loop) Body(f BodyFactory) *Loop {
+	lp.l.Body = f
+	lp.l.InvalidateCompiled()
 	lp.once, lp.err, lp.dh = new(sync.Once), nil, nil
 	return lp
 }

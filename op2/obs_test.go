@@ -23,13 +23,15 @@ func obsLoop(t *testing.T, rt *op2.Runtime) *op2.Loop {
 	cells := op2.MustDeclSet(n, "cells")
 	x := op2.MustDeclDat(cells, 1, nil, "x")
 	y := op2.MustDeclDat(cells, 1, nil, "y")
-	xd, yd := x.Data(), y.Data()
 	lp := rt.ParLoop("saxpy", cells,
 		op2.DirectArg(x, op2.Read),
 		op2.DirectArg(y, op2.RW),
-	).Body(func(lo, hi int, _ []float64) {
-		for i := lo; i < hi; i++ {
-			yd[i] += 2 * xd[i]
+	).Body(func(b op2.Bindings) op2.RangeBody {
+		xd, yd := b.Dat(x), b.Dat(y)
+		return func(lo, hi int, _ []float64) {
+			for i := lo; i < hi; i++ {
+				yd[i] += 2 * xd[i]
+			}
 		}
 	})
 	ctx := context.Background()

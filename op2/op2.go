@@ -157,11 +157,12 @@ func WithProfiling() Option { return func(c *config) { c.profiling = true } }
 
 // WithRanks turns the runtime into a distributed one: loops execute
 // across n simulated localities under owner-compute semantics — sets are
-// partitioned, written dats become owned blocks plus import halos, and
-// each loop overlaps its halo exchange with interior computation (see
-// the internal/dist package). n == 0 (the default) keeps shared-memory
-// execution. Distributed loops need generic kernels; the declared data
-// stays accessible through Dat.Data after a Sync. Once a loop has
+// partitioned and numbered locally per rank, written dats live on those
+// local meshes, and each loop runs its compiled body per rank,
+// overlapping its halo exchange with the elements that need no halo
+// data (see the internal/dist package). n == 0 (the default) keeps
+// shared-memory execution. The declared data stays accessible through
+// Dat.Data after a Sync. Once a loop has
 // written a dat, its per-rank shards are authoritative: host writes
 // into Data() are no longer observed by later loops (initialize data
 // before the first distributed write, or mutate it through loops).

@@ -84,9 +84,12 @@ func TestRunAndAsyncAgree(t *testing.T) {
 		d := op2.MustDeclDat(cells, 1, nil, "d")
 		sum := op2.MustDeclGlobal(1, nil, "sum")
 		fill := rt.ParLoop("fill", cells, op2.DirectArg(d, op2.Write)).
-			Body(func(lo, hi int, _ []float64) {
-				for i := lo; i < hi; i++ {
-					d.Data()[i] = float64(i)
+			Body(func(b op2.Bindings) op2.RangeBody {
+				dd := b.Dat(d)
+				return func(lo, hi int, _ []float64) {
+					for i := lo; i < hi; i++ {
+						dd[i] = float64(i)
+					}
 				}
 			})
 		reduce := rt.ParLoop("reduce", cells,

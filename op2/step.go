@@ -30,10 +30,9 @@ import (
 //     barriers.
 //   - On a distributed runtime (WithRanks), the engine coalesces the
 //     read-halo exchanges of consecutive loops that import the same
-//     dat's halo into one message per rank pair, and lets a loop's
-//     increment exchange stay in flight while later loops that do not
-//     touch the incremented dat execute their interiors — strictly fewer
-//     halo messages and more overlap than loop-at-a-time issue, while
+//     dat's halo into one message per rank pair, posted as soon as its
+//     data is final — never more halo messages than loop-at-a-time issue,
+//     strictly fewer when several loops read one version of a halo, while
 //     remaining bitwise-identical to the serial backend.
 //
 // Under Serial and ForkJoin the loops simply run in program order; a
@@ -234,7 +233,7 @@ func (rt *Runtime) HaloMessagesSent() int64 {
 }
 
 // HaloBufferStats reports a distributed runtime's message-buffer pool
-// counters: how many buffers were ever allocated (pool misses) and how
+// counters: how many buffers were ever allocated (stocked or missed) and how
 // many were requested in total. In steady state allocated stays flat
 // while requested grows — every halo message of a settled timestep packs
 // into a recycled buffer. Shared-memory runtimes report zeros.
