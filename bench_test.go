@@ -60,9 +60,6 @@ func benchAirfoil(b *testing.B, threads int, backend op2.Backend, chunker op2.Ch
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if pc, ok := chunker.(*op2.PersistentAutoChunker); ok {
-			pc.Reset()
-		}
 		if _, err := app.Run(benchIters); err != nil {
 			b.Fatal(err)
 		}

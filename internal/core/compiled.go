@@ -22,15 +22,17 @@ import (
 //     used to rebuild a slice + map on every issue),
 //   - the loop's range body, bound once to host storage (the loop's
 //     Body factory, or the generic view builder of a Kernel-only loop),
-//   - the §V prefetcher configuration, and
+//   - the §V prefetcher configuration,
+//   - the calibrated chunk size of every plan color (of the range, for
+//     a direct loop), set by the first invocation, and
 //   - a pool of loopRun states holding the slot-indexed reduction
 //     scratch table and the persistent chunk tasks of the parallel
 //     region.
 //
-// A CompiledLoop is immutable after construction; all mutable
-// per-invocation state lives in pooled loopRun values, so concurrent
-// executions of the same loop (where a backend's contract allows them)
-// are safe. A Kernel-only loop's generic body reads the Kernel through
+// A CompiledLoop is immutable after construction apart from its
+// write-once chunk sizes; all mutable per-invocation state lives in
+// pooled loopRun values, so concurrent executions of the same loop
+// (where a backend's contract allows them) are safe. A Kernel-only loop's generic body reads the Kernel through
 // the Loop at invocation time, so re-attaching a Kernel between runs is
 // observed without recompiling; a new Body needs Loop.InvalidateCompiled.
 type CompiledLoop struct {
@@ -42,6 +44,10 @@ type CompiledLoop struct {
 	pf   *loopPrefetcher
 
 	body RangeBody // l.Factory() bound to host storage
+
+	// chunks[c] is the chunk size of plan color c (chunks[0] for a
+	// direct loop), calibrated once (see Executor.chunkSize).
+	chunks []atomic.Int64
 
 	runs   sync.Pool // *loopRun
 	issues sync.Pool // *issueState: pooled async-issue states (see issue.go)
@@ -83,13 +89,16 @@ func (ex *Executor) compileLoop(l *Loop) (*CompiledLoop, error) {
 		res: classifyResources(l.Args),
 		pf:  ex.newLoopPrefetcher(l),
 	}
+	ncolors := 1 // a direct loop's range
 	if conflicts := conflictMaps(l.Args); len(conflicts) > 0 {
 		plan, err := ex.plans.get(l.Set, ex.cfg.BlockSize, conflicts)
 		if err != nil {
 			return nil, err
 		}
 		cl.plan = plan
+		ncolors = plan.NColors()
 	}
+	cl.chunks = make([]atomic.Int64, ncolors)
 	cl.body = l.Factory()(hostBindings{})
 	cl.runs.New = func() any { return newLoopRun(cl) }
 	return cl, nil

@@ -56,7 +56,10 @@ type Config struct {
 	// Chunker controls chunk sizes (§IV-B). Nil defaults per backend:
 	// ForkJoin uses even static division (the OpenMP baseline), Dataflow
 	// uses auto chunk sizing. Pass a *hpx.PersistentAutoChunker shared
-	// across loops to reproduce persistent_auto_chunk_size.
+	// across loops to reproduce persistent_auto_chunk_size. Dataflow
+	// consults it once per compiled loop and plan color (and once per
+	// fused step group), on the first invocation; ForkJoin consults it
+	// on every loop and never lets it measure.
 	Chunker hpx.Chunker
 	// BlockSize is the plan block size for indirect loops.
 	BlockSize int
@@ -555,20 +558,40 @@ func forkJoinRegion(ctx context.Context, workers, n, size int, chunk func(c, lo,
 	return ctx.Err()
 }
 
-// runDirect executes a loop with no indirect modifications: calibrate the
-// chunk size by executing the first iterations for real (the way HPX's
-// auto_chunk_size folds its measurement into the run), then spread static
-// chunks of the remainder across the pool through the compiled region —
+// chunkSize returns the chunk size cached in slot, a write-once size
+// owned by a compiled loop's color or a fused group's pass. The first
+// invocation calibrates it through the configured Chunker over n units
+// on workers threads, where measure executes a prefix of the units for
+// real (the way HPX's auto_chunk_size folds its measurement into the
+// run); the CompareAndSwap from 0 makes concurrent first invocations
+// agree on one size. Every later invocation returns the cached size and
+// consults neither the chunker nor measure, so the steady state runs no
+// probe on the calling goroutine and dispatches every unit to the pool.
+func (ex *Executor) chunkSize(slot *atomic.Int64, n, workers int, measure func(k int) time.Duration) int {
+	if size := slot.Load(); size > 0 {
+		return int(size)
+	}
+	size := ex.cfg.Chunker.ChunkSize(n, workers, measure)
+	if size < 1 {
+		size = 1
+	}
+	if !slot.CompareAndSwap(0, int64(size)) {
+		size = int(slot.Load())
+	}
+	return size
+}
+
+// runDirect executes a loop with no indirect modifications: the first
+// invocation calibrates the chunk size by executing the first
+// iterations for real (see chunkSize), then static chunks of the
+// remainder spread across the pool through the compiled region —
 // persistent task closures, no per-invocation policy or future objects.
 func (ex *Executor) runDirect(lr *loopRun) error {
 	pool := ex.pool()
 	workers := pool.Size()
 	n := lr.cl.l.Set.size
 	lr.blocks = nil // measure() dispatches on this: direct mode
-	size := ex.cfg.Chunker.ChunkSize(n, workers, lr.measure)
-	if size < 1 {
-		size = 1
-	}
+	size := ex.chunkSize(&lr.cl.chunks[0], n, workers, lr.measure)
 	cursor := lr.cursor
 	if cursor >= n {
 		return nil
@@ -589,8 +612,10 @@ func (ex *Executor) runDirect(lr *loopRun) error {
 // runColored executes an indirect loop color by color from its pinned
 // plan: blocks within a color are mutually conflict-free and run in
 // parallel; a barrier separates colors, exactly like OP2's OpenMP plan
-// execution in Fig. 4. Reduction scratches are slotted by block id, so
-// the ascending-slot fold reproduces the ascending-range combine.
+// execution in Fig. 4. Each color keeps its own chunk size, which the
+// first invocation calibrates in whole blocks executed for real (see
+// chunkSize). Reduction scratches are slotted by block id, so the
+// ascending-slot fold reproduces the ascending-range combine.
 func (ex *Executor) runColored(ctx context.Context, lr *loopRun) error {
 	plan := lr.cl.plan
 	pool := ex.pool()
@@ -603,13 +628,9 @@ func (ex *Executor) runColored(ctx context.Context, lr *loopRun) error {
 		}
 		blocks := plan.BlocksOfColor(c)
 		nb := len(blocks)
-		// Calibrate in whole blocks, executed for real.
 		lr.blocks = blocks
 		lr.cursor = 0
-		size := ex.cfg.Chunker.ChunkSize(nb, workers, lr.measure)
-		if size < 1 {
-			size = 1
-		}
+		size := ex.chunkSize(&lr.cl.chunks[c], nb, workers, lr.measure)
 		if lr.cursor >= nb {
 			continue
 		}

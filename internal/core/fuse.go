@@ -54,6 +54,10 @@ type stepGroup struct {
 	runs      sync.Pool // *fusedRun; multi-loop groups only
 	runsIssue sync.Pool // *groupIssue; pooled async-issue states
 
+	// chunk is the fused pass's calibrated chunk size, valid for the
+	// member compiled loops it was calibrated with (see chunkFor).
+	chunk atomic.Pointer[groupChunk]
+
 	// hist caches the group's op2_fused_group_seconds handle — one
 	// atomic load per pass once registered (see stepGroup.histFor).
 	hist atomic.Pointer[obs.Histogram]
@@ -64,6 +68,40 @@ type stepGroup struct {
 }
 
 func (g *stepGroup) fused() bool { return g.hi-g.lo > 1 }
+
+// groupChunk is a fused group's write-once chunk size together with the
+// member compiled loops whose pass it was calibrated on.
+type groupChunk struct {
+	members []*CompiledLoop
+	size    atomic.Int64
+}
+
+// chunkFor returns the chunk-size cache of the pass fr is about to run.
+// A StepPlan is not bound to one executor, so a cache stays valid only
+// while every member runs the compiled loop it was calibrated with: a
+// different executor, or Loop.InvalidateCompiled on any member, starts
+// a fresh cache and the next pass recalibrates.
+func (g *stepGroup) chunkFor(fr *fusedRun) *groupChunk {
+	if gc := g.chunk.Load(); gc != nil && gc.calibratedOn(fr.members) {
+		return gc
+	}
+	gc := &groupChunk{members: make([]*CompiledLoop, len(fr.members))}
+	for j, lr := range fr.members {
+		gc.members[j] = lr.cl
+	}
+	g.chunk.Store(gc)
+	return gc
+}
+
+// calibratedOn reports whether the cache belongs to these member runs.
+func (gc *groupChunk) calibratedOn(members []*loopRun) bool {
+	for j, lr := range members {
+		if gc.members[j] != lr.cl {
+			return false
+		}
+	}
+	return true
+}
 
 // groupUse aggregates how a group (or candidate loop) touches one
 // resource: through writes, through maps, as a global, as a read.
@@ -359,9 +397,11 @@ func (g *stepGroup) putRun(fr *fusedRun) {
 }
 
 // executeFusedCtx runs a multi-loop group as one pass over the
-// iteration range — one chunk-size calibration for the whole pass, each
-// chunk executing every member body back to back — and returns one
-// error per member (nil entries for members that completed).
+// iteration range — each chunk executing every member body back to
+// back — and returns one error per member (nil entries for members that
+// completed). The pass has one chunk size, which the group's first pass
+// calibrates by executing the first iterations for real (see
+// Executor.chunkSize); later passes reuse it.
 func (ex *Executor) executeFusedCtx(ctx context.Context, sp *StepPlan, g *stepGroup) []error {
 	k := g.hi - g.lo
 	errs := make([]error, k)
@@ -395,10 +435,7 @@ func (ex *Executor) executeFusedCtx(ctx context.Context, sp *StepPlan, g *stepGr
 		pool := ex.pool()
 		workers := pool.Size()
 		fr.n = n
-		size := ex.cfg.Chunker.ChunkSize(n, workers, fr.measure)
-		if size < 1 {
-			size = 1
-		}
+		size := ex.chunkSize(&g.chunkFor(fr).size, n, workers, fr.measure)
 		cursor := fr.cursor
 		switch {
 		case cursor >= n:

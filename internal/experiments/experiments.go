@@ -75,9 +75,6 @@ func runAirfoil(o Options, threads int, backend op2.Backend, chunker op2.Chunker
 		return perf.Stats{}, err
 	}
 	return perf.Measure(o.Warmup, o.Reps, func() error {
-		if pc, ok := chunker.(*op2.PersistentAutoChunker); ok {
-			pc.Reset()
-		}
 		_, err := app.Run(o.Iters)
 		return err
 	})

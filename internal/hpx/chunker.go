@@ -9,6 +9,12 @@ import (
 // Chunker decides how many consecutive iterations each task executes — the
 // "amount of work performed by each task" that §IV-B of the paper sets out
 // to control. Implementations may measure the loop body to calibrate.
+//
+// The OP2 core consults a chunker once per compiled loop and plan color
+// (once per fused pass of a step): the first invocation's size is cached
+// and every later invocation of that loop reuses it without calling the
+// chunker or its measure probe again. The ForkJoin backend is the
+// exception: it asks for its never-measuring division on every loop.
 type Chunker interface {
 	// ChunkSize returns the chunk size for a loop of n iterations running
 	// on workers pool threads. measure executes k iterations of the loop
@@ -180,14 +186,6 @@ func (c *PersistentAutoChunker) Target() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.target
-}
-
-// Reset clears the persisted duration so the next loop recalibrates. Used
-// between benchmark repetitions.
-func (c *PersistentAutoChunker) Reset() {
-	c.mu.Lock()
-	c.target = 0
-	c.mu.Unlock()
 }
 
 // ChunkSize implements Chunker. The first call fixes the target chunk

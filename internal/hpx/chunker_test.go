@@ -120,18 +120,6 @@ func TestPersistentAutoChunkerEqualTimeChunks(t *testing.T) {
 	}
 }
 
-func TestPersistentAutoChunkerReset(t *testing.T) {
-	c := NewPersistentAutoChunker()
-	c.ChunkSize(1000, 2, constMeasure(time.Microsecond))
-	if c.Target() == 0 {
-		t.Fatal("target not set")
-	}
-	c.Reset()
-	if c.Target() != 0 {
-		t.Fatal("Reset did not clear target")
-	}
-}
-
 func TestPersistentAutoChunkerNilMeasure(t *testing.T) {
 	c := NewPersistentAutoChunker()
 	if size := c.ChunkSize(1000, 4, nil); size < 1 {

@@ -315,69 +315,46 @@ func (t *Transport) readHello(c net.Conn) (int, error) {
 func (t *Transport) reader(p *peerConn) {
 	defer t.wg.Done()
 	defer close(p.readerDone)
-	br := bufio.NewReaderSize(p.conn, 64<<10)
-	var hdr [headerLen]byte
-	var scratch []byte // reused payload byte buffer: zero-alloc steady state
+	fr := &frameReader{br: bufio.NewReaderSize(p.conn, 64<<10), peer: p.rank}
+	floats := func(src, n int) []float64 {
+		if h := t.pool.Load(); h != nil {
+			return h.get(src, n)
+		}
+		return make([]float64, 0, n)
+	}
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if p.sawGoodbye.Load() && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
-				return // clean: GOODBYE then hangup
-			}
-			if errors.Is(err, io.EOF) {
+		f, err := fr.next(floats)
+		t.bytesRecv.Add(int64(f.wire))
+		if f.whole {
+			p.lastRecv.Store(time.Now().UnixNano())
+			t.framesRecv.Add(1)
+		}
+		if err != nil {
+			switch {
+			case errors.Is(err, dist.ErrHaloCorrupt):
+				t.poison(err)
+			case p.sawGoodbye.Load() && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)):
+				// clean: GOODBYE then hangup
+			case errors.Is(err, io.EOF):
 				t.connLost(p, "read (peer hung up without GOODBYE)", err)
-			} else {
+			default:
 				t.connLost(p, "read", err)
 			}
 			return
 		}
-		t.bytesRecv.Add(headerLen)
-		typ, src, n := parseHeader(hdr[:])
-		if src != p.rank || n < 0 || n > maxFramePayload {
-			t.poison(fmt.Errorf("%w: net: malformed frame header from rank %d (type %d, claimed src %d, len %d)",
-				dist.ErrHaloCorrupt, p.rank, typ, src, n))
-			return
-		}
-		if n > 0 {
-			if cap(scratch) < n {
-				scratch = make([]byte, n)
-			}
-			scratch = scratch[:n]
-			if _, err := io.ReadFull(br, scratch); err != nil {
-				// A frame announced n bytes and the stream ended short:
-				// byte-level truncation, the corruption class.
-				t.poison(fmt.Errorf("%w: net: frame from rank %d truncated mid-payload (%d bytes announced): %v",
-					dist.ErrHaloCorrupt, p.rank, n, err))
-				return
-			}
-			t.bytesRecv.Add(int64(n))
-		}
-		p.lastRecv.Store(time.Now().UnixNano())
-		t.framesRecv.Add(1)
 
-		switch typ {
+		switch f.typ {
 		case fHeartbeat:
 			// Liveness only; the lastRecv stamp above is the payload.
 		case fHalo, fCtl:
-			if n%8 != 0 {
-				t.poison(fmt.Errorf("%w: net: frame from rank %d carries %d bytes, not a whole number of float64s",
-					dist.ErrHaloCorrupt, p.rank, n))
-				return
-			}
-			var msg []float64
-			if h := t.pool.Load(); h != nil {
-				msg = h.get(src, n/8)
-			} else {
-				msg = make([]float64, 0, n/8)
-			}
-			msg = decodeFloats(msg[:0], scratch)
 			ch := chHalo
-			if typ == fCtl {
+			if f.typ == fCtl {
 				ch = chCtl
 			}
-			t.deliver(ch, src, msg)
+			t.deliver(ch, f.src, f.floats)
 		case fBarrier:
 			select {
-			case t.barrierCh <- src:
+			case t.barrierCh <- f.src:
 			default:
 				t.poison(fmt.Errorf("%w: net: unexpected barrier frame from rank %d mid-run",
 					dist.ErrHaloCorrupt, p.rank))
@@ -389,11 +366,7 @@ func (t *Transport) reader(p *peerConn) {
 			// Keep reading: the clean exit ends with the peer's hangup.
 		case fAbort:
 			p.sawGoodbye.Store(true) // the EOF that follows is expected
-			t.poison(fmt.Errorf("%w: net: rank %d aborted: %s", dist.ErrRankFailed, p.rank, string(scratch)))
-			return
-		default:
-			t.poison(fmt.Errorf("%w: net: unknown frame type %d from rank %d",
-				dist.ErrHaloCorrupt, typ, p.rank))
+			t.poison(fmt.Errorf("%w: net: rank %d aborted: %s", dist.ErrRankFailed, p.rank, string(f.payload)))
 			return
 		}
 	}

@@ -30,10 +30,16 @@
 package net
 
 import (
+	"bufio"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"op2hpx/internal/dist"
 )
 
 // Wire frame: a fixed 9-byte header — type byte, sender rank (uint32
@@ -97,6 +103,88 @@ func decodeFloats(dst []float64, raw []byte) []float64 {
 		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(raw[off:off+8])))
 	}
 	return dst
+}
+
+// frame is one frame read off a connection by frameReader.next.
+type frame struct {
+	typ     byte
+	src     int
+	payload []byte    // raw payload; valid until the next read
+	floats  []float64 // decoded payload of a halo or ctl frame
+	wire    int       // bytes consumed from the stream, valid or not
+	whole   bool      // the whole frame, header and payload, was read
+}
+
+// frameReader decodes the inbound frames of one connection, reusing its
+// header and payload buffers across frames: the transport's reader
+// goroutine drives it, and it touches no transport state, so every
+// byte sequence can be fed to it directly.
+type frameReader struct {
+	br   *bufio.Reader
+	peer int // the rank the connection belongs to
+	hdr  [headerLen]byte
+	buf  []byte
+}
+
+// payloadGrowth bounds how far the payload buffer grows ahead of the
+// bytes that actually arrived.
+const payloadGrowth = 64 << 10
+
+// next reads, validates and decodes one frame. floats returns the
+// destination buffer (capacity n, length ignored) for the n float64s of
+// a halo or ctl payload.
+//
+// A failed header read returns the stream's own error (io.EOF at a
+// frame boundary): that is the connection ending, which the caller
+// classifies. Every other failure wraps dist.ErrHaloCorrupt: a header
+// naming another rank or an oversized length, a payload cut short, a
+// halo or ctl payload that is not whole float64s, an unknown frame
+// type. The payload buffer grows no faster than the payload arrives,
+// so a corrupt length field cannot by itself drive a large allocation.
+func (r *frameReader) next(floats func(src, n int) []float64) (frame, error) {
+	var f frame
+	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
+		return f, err
+	}
+	f.wire = headerLen
+	typ, src, n := parseHeader(r.hdr[:])
+	f.typ, f.src = typ, src
+	if src != r.peer || n < 0 || n > maxFramePayload {
+		return f, fmt.Errorf("%w: net: malformed frame header from rank %d (type %d, claimed src %d, len %d)",
+			dist.ErrHaloCorrupt, r.peer, typ, src, n)
+	}
+	buf := r.buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), payloadGrowth)))
+		}
+		k, err := io.ReadFull(r.br, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			r.buf = buf
+			// A frame announced n bytes and the stream ended short:
+			// byte-level truncation, the corruption class.
+			return f, fmt.Errorf("%w: net: frame from rank %d truncated mid-payload (%d bytes announced): %v",
+				dist.ErrHaloCorrupt, r.peer, n, err)
+		}
+	}
+	r.buf = buf
+	f.payload = buf
+	f.wire += n
+	f.whole = true
+	switch typ {
+	case fHalo, fCtl:
+		if n%8 != 0 {
+			return f, fmt.Errorf("%w: net: frame from rank %d carries %d bytes, not a whole number of float64s",
+				dist.ErrHaloCorrupt, r.peer, n)
+		}
+		f.floats = decodeFloats(floats(src, n/8)[:0], buf)
+	case fHeartbeat, fBarrier, fGoodbye, fAbort:
+	default:
+		return f, fmt.Errorf("%w: net: unknown frame type %d from rank %d",
+			dist.ErrHaloCorrupt, typ, r.peer)
+	}
+	return f, nil
 }
 
 // framePool is the outbound wire-frame free list — the byte-buffer

@@ -3,6 +3,7 @@ package translator
 import (
 	"fmt"
 	"go/format"
+	gotoken "go/token"
 	"sort"
 	"strings"
 )
@@ -125,10 +126,21 @@ func sourceLabel(source string) string {
 }
 
 // checkNameCollisions rejects programs whose identifiers map to the same
-// exported Go name (e.g. p_q and pq).
+// exported Go name (e.g. p_q and pq), and programs with a name that has
+// no valid Go name at all: an identifier such as _1 (its Go name would
+// start with a digit) or a loop name string such as "a b".
 func checkNameCollisions(p *Program) error {
+	valid := func(name string) error {
+		if g := goName(name); !gotoken.IsIdentifier(g) {
+			return fmt.Errorf("translator: %q has no valid Go name (got %q)", name, g)
+		}
+		return nil
+	}
 	seen := map[string]string{}
 	check := func(name string) error {
+		if err := valid(name); err != nil {
+			return err
+		}
 		g := goName(name)
 		if prev, ok := seen[g]; ok && prev != name {
 			return fmt.Errorf("translator: identifiers %q and %q both map to Go name %q", prev, name, g)
@@ -136,20 +148,24 @@ func checkNameCollisions(p *Program) error {
 		seen[g] = name
 		return nil
 	}
+	var names []string
 	for _, s := range p.Sets {
 		if err := check(s.Name); err != nil {
 			return err
 		}
+		names = append(names, s.SizeParam)
 	}
 	for _, m := range p.Maps {
 		if err := check(m.Name); err != nil {
 			return err
 		}
+		names = append(names, m.Data)
 	}
 	for _, d := range p.Dats {
 		if err := check(d.Name); err != nil {
 			return err
 		}
+		names = append(names, d.Data)
 	}
 	for _, g := range p.Gbls {
 		if err := check(g.Name); err != nil {
@@ -158,6 +174,17 @@ func checkNameCollisions(p *Program) error {
 	}
 	for _, c := range p.Consts {
 		if err := check(c.Name); err != nil {
+			return err
+		}
+	}
+	for _, l := range p.Loops {
+		names = append(names, l.Name, l.Kernel)
+	}
+	for _, name := range names {
+		if name == "" {
+			continue // no runtime parameter
+		}
+		if err := valid(name); err != nil {
 			return err
 		}
 	}

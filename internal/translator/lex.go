@@ -12,7 +12,6 @@ package translator
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 type tokenKind int
@@ -208,8 +207,11 @@ func (l *lexer) lexToken() (token, error) {
 	}
 }
 
+// Identifiers are C identifiers: ASCII only. The lexer works on bytes,
+// so a Unicode letter test would accept a lone byte of a multi-byte
+// UTF-8 sequence and carry it into the generated Go names.
 func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
-func isIdentStart(c byte) bool { return c == '_' || unicode.IsLetter(rune(c)) }
+func isIdentStart(c byte) bool { return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' }
 func isIdentPart(c byte) bool  { return isIdentStart(c) || isDigit(c) }
 
 // lexAll tokenizes the whole input, for the parser's lookahead buffer.

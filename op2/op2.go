@@ -82,8 +82,7 @@ type Chunker = hpx.Chunker
 
 // PersistentAutoChunker is the paper's proposed persistent_auto_chunk_size
 // policy: the chunk duration is calibrated once by the first loop and
-// reused by every dependent loop. Reset clears the calibration (useful
-// between benchmark repetitions).
+// reused by every dependent loop.
 type PersistentAutoChunker = hpx.PersistentAutoChunker
 
 // StaticChunk returns a chunker with a fixed chunk size
@@ -95,12 +94,18 @@ func StaticChunk(size int) Chunker { return hpx.StaticChunker(size) }
 func EvenChunk(perWorker int) Chunker { return hpx.EvenChunker(perWorker) }
 
 // AutoChunk returns a chunker that calibrates each loop independently so
-// chunks take roughly a fixed target duration (hpx auto_chunk_size).
+// chunks take roughly a fixed target duration (hpx auto_chunk_size). A
+// loop is calibrated by its first invocation, per plan color, with a
+// probe that executes its first iterations for real; later invocations
+// reuse that chunk size and run no probe.
 func AutoChunk() Chunker { return hpx.AutoChunker() }
 
 // PersistentAutoChunk returns a shared persistent_auto_chunk_size policy
 // (§IV-B): pass the same value to WithChunker so all loops of a runtime
-// derive their chunk sizes from one persisted chunk duration.
+// derive their chunk sizes from one persisted chunk duration. The first
+// loop to run fixes that duration; every loop (and plan color) sizes its
+// chunks from it on its own first invocation and keeps that size for
+// every later one.
 func PersistentAutoChunk() *PersistentAutoChunker { return hpx.NewPersistentAutoChunker() }
 
 // config collects the functional options of New.
